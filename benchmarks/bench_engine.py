@@ -37,7 +37,7 @@ if __name__ == "__main__":  # script mode works from a source checkout
 import numpy as np
 import pytest
 
-from repro.shaping import run_policy
+from repro.shaping import RunConfig, run_policy
 from repro.sim import batch
 from repro.traces.synthetic import poisson_workload
 
@@ -122,12 +122,12 @@ def _timed(fn, *args, reps: int = 1, **kwargs) -> tuple[float, object]:
 
 def _bench_end_to_end(workload, policy: str, reps: int) -> dict:
     scalar_s, scalar_run = _timed(
-        run_policy, workload, policy, CMIN, DELTA_C, DELTA,
-        engine="scalar", reps=reps,
+        run_policy, workload, policy,
+        config=RunConfig(CMIN, DELTA_C, DELTA, engine="scalar"), reps=reps,
     )
     batch_s, batch_run = _timed(
-        run_policy, workload, policy, CMIN, DELTA_C, DELTA,
-        engine="batch", reps=reps,
+        run_policy, workload, policy,
+        config=RunConfig(CMIN, DELTA_C, DELTA, engine="batch"), reps=reps,
     )
     parity_ok = (
         batch_run.overall.samples.tolist() == scalar_run.overall.samples.tolist()

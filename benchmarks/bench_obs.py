@@ -19,7 +19,7 @@ import time
 
 from repro.obs import MetricsRegistry
 from repro.obs.registry import NULL_REGISTRY
-from repro.shaping import run_policy
+from repro.shaping import RunConfig, run_policy
 
 #: Maximum tolerated share of per-request time spent in disabled hooks.
 MAX_DISABLED_OVERHEAD = 0.05
@@ -44,11 +44,9 @@ def _simulate(workload, metrics=None, sample_interval=None):
     return run_policy(
         workload,
         "miser",
-        cmin=150.0,
-        delta_c=30.0,
-        delta=0.05,
-        metrics=metrics,
-        sample_interval=sample_interval,
+        config=RunConfig(
+            150.0, 30.0, 0.05, metrics=metrics, sample_interval=sample_interval
+        ),
     )
 
 

@@ -35,17 +35,16 @@ from ..core.rtt import decompose, decompose_exact, decompose_fluid
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
 from ..perf import kernels, scalar
-from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
+from ..sched.registry import make_scheduler
 from ..server.base import Server
-from ..server.cluster import SplitSystem
-from ..server.sizesplit import SizeSplitSystem
-from ..server.constant_rate import ConstantRateModel, constant_rate_server
+from ..server.constant_rate import ConstantRateModel
 from ..server.disk import DiskModel, DiskParameters
 from ..sim.engine import Simulator
 from ..sim.source import WorkloadSource
 from ..sim.stats import ResponseTimeCollector
 from ..server.driver import DeviceDriver
-from ..shaping import RunConfig, run_policy
+from ..shaping import run_policy
+from ..stack import RunConfig, build_stack
 from .invariants import CheckingScheduler, Violation
 
 #: Policies the differential harness exercises by default: the four
@@ -410,14 +409,7 @@ def _scalar_columns(
 ):
     """Event-engine run returning per-index columns + conservation ledger."""
     sim = Simulator()
-    if policy == "split":
-        system = SplitSystem(sim, cmin, delta_c, delta)
-    elif policy == "splitfarm":
-        system = SizeSplitSystem(sim, cmin, delta_c, delta)
-    else:
-        scheduler = make_scheduler(policy, cmin, delta_c, delta)
-        server = constant_rate_server(sim, cmin + delta_c, name=policy)
-        system = DeviceDriver(sim, server, scheduler)
+    system = build_stack(sim, policy, RunConfig(cmin, delta_c, delta))
     WorkloadSource(sim, workload, system).start()
     sim.run()
     # Per-index *response* columns: ``completion - arrival`` is the same
@@ -584,8 +576,9 @@ def serve_parity(
     """Certify serve ≡ simulate on one trace.
 
     For every policy, the trace is replayed twice — once through the
-    plain offline stack (:func:`_scalar_columns`, the exact component
-    recipe of ``run_policy``'s event path) and once through the online
+    plain offline stack (:func:`_scalar_columns`, the
+    :func:`~repro.stack.build_stack` stack of ``run_policy``'s event
+    path) and once through the online
     :class:`~repro.serve.harness.ServiceHarness` in ``chunks`` audited
     epochs — and the two runs are compared per arrival index.  The
     topologies need a positive overflow capacity, so with
@@ -703,52 +696,53 @@ def run_checked(
 ) -> CheckedRun:
     """Serve ``workload`` under ``policy`` with the invariant auditor on.
 
-    Mirrors :func:`repro.shaping.run_policy`'s capacity allocation, but
-    wraps the single-server schedulers in a
+    The stack is :func:`~repro.stack.build_stack`'s, with every
+    single-server scheduler wrapped in a
     :class:`~repro.check.invariants.CheckingScheduler`.  The topologies
-    have no single scheduler to wrap, so each runs unwrapped and is
+    run fixed FCFS pairs with no policy scheduler to wrap, so each is
     held to its outcome-level guarantee instead: Split's dedicated
     ``cmin`` server means **zero** primary deadline misses; the
     size-threshold farm must conserve every request and route honestly
     (every completion on the small partition had demand at or below the
     threshold, every large-side completion above it).
     """
-    if cmin <= 0 or delta_c < 0 or delta <= 0:
-        raise ConfigurationError(
-            f"bad configuration: cmin={cmin}, delta_c={delta_c}, delta={delta}"
-        )
-    violations: list[Violation] = []
-    if policy == "split":
-        result = run_policy(workload, policy, cmin, delta_c, delta)
-        if result.primary_misses:
-            violations.append(
-                Violation(
-                    invariant="split-q1-guarantee",
-                    policy="split",
-                    detail=(
-                        f"{result.primary_misses} primary misses on a "
-                        f"dedicated rate-{cmin:g} server"
-                    ),
-                    time=float("nan"),
-                )
+    checkers: list[CheckingScheduler] = []
+
+    def audited(scheduler):
+        checkers.append(CheckingScheduler(scheduler))
+        return checkers[-1]
+
+    sim = Simulator()
+    system = build_stack(
+        sim, policy, RunConfig(cmin, delta_c, delta), wrap_scheduler=audited
+    )
+    WorkloadSource(sim, workload, system).start()
+    sim.run()
+    violations: list[Violation] = [v for c in checkers for v in c.violations]
+    completed: list[Request] = system.completed
+    if len({id(r) for r in completed}) != len(completed):
+        violations.append(
+            Violation(
+                invariant="completion-uniqueness",
+                policy=policy,
+                detail="a request completed more than once",
+                time=float("nan"),
             )
-        return CheckedRun(
-            policy=policy,
-            completed=len(result.overall),
-            expected=len(workload),
-            primary_completed=len(result.primary),
-            overflow_completed=len(result.overflow),
-            primary_misses=result.primary_misses,
-            fraction_within=result.fraction_within(),
-            mean_response=result.overall.stats.mean,
-            p99_response=result.overall.percentile(99),
-            violations=tuple(violations),
+        )
+    primary_misses = system.primary_deadline_misses()
+    if policy == "split" and primary_misses:
+        violations.append(
+            Violation(
+                invariant="split-q1-guarantee",
+                policy=policy,
+                detail=(
+                    f"{primary_misses} primary misses on a "
+                    f"dedicated rate-{cmin:g} server"
+                ),
+                time=float("nan"),
+            )
         )
     if policy == "splitfarm":
-        sim = Simulator()
-        system = SizeSplitSystem(sim, cmin, delta_c, delta)
-        WorkloadSource(sim, workload, system).start()
-        sim.run()
         ledger = system.fault_ledger()
         if ledger["dropped"] or ledger["shed"]:
             violations.append(
@@ -759,67 +753,23 @@ def run_checked(
                     time=float("nan"),
                 )
             )
-        for request in system.small_driver.completed:
-            if request.service_demand > system.threshold:
-                violations.append(
-                    Violation(
-                        invariant="splitfarm-routing",
-                        policy=policy,
-                        detail=(
-                            f"demand {request.service_demand} completed on the "
-                            f"small partition (threshold {system.threshold})"
-                        ),
-                        time=float(request.completion),
+        for driver, small in zip(system.drivers, (True, False)):
+            for request in driver.completed:
+                if system.is_small(request) != small:
+                    violations.append(
+                        Violation(
+                            invariant="splitfarm-routing",
+                            policy=policy,
+                            detail=(
+                                f"demand {request.service_demand} completed on "
+                                f"the {driver.server.name} partition "
+                                f"(threshold {system.threshold})"
+                            ),
+                            time=float(request.completion),
+                        )
                     )
-                )
-        for request in system.large_driver.completed:
-            if request.service_demand <= system.threshold:
-                violations.append(
-                    Violation(
-                        invariant="splitfarm-routing",
-                        policy=policy,
-                        detail=(
-                            f"demand {request.service_demand} completed on the "
-                            f"large partition (threshold {system.threshold})"
-                        ),
-                        time=float(request.completion),
-                    )
-                )
-        farm_classes = system.by_class
-        return CheckedRun(
-            policy=policy,
-            completed=ledger["completed"],
-            expected=len(workload),
-            primary_completed=len(farm_classes[QoSClass.PRIMARY]),
-            overflow_completed=len(farm_classes[QoSClass.OVERFLOW]),
-            primary_misses=system.primary_deadline_misses(),
-            fraction_within=system.fraction_within(delta),
-            mean_response=system.overall.stats.mean,
-            p99_response=system.overall.percentile(99),
-            violations=tuple(violations),
-        )
-    if policy not in SINGLE_SERVER_POLICIES:
-        raise ConfigurationError(f"unknown policy {policy!r}")
-    sim = Simulator()
-    checker = CheckingScheduler(make_scheduler(policy, cmin, delta_c, delta))
-    server = constant_rate_server(sim, cmin + delta_c, name=policy)
-    driver = DeviceDriver(sim, server, checker)
-    WorkloadSource(sim, workload, driver).start()
-    sim.run()
-    violations.extend(checker.violations)
-    by_class: dict[QoSClass, ResponseTimeCollector] = driver.by_class
-    primary_misses = driver.primary_deadline_misses()
-    completed: list[Request] = driver.completed
-    seen = {id(r) for r in completed}
-    if len(seen) != len(completed):
-        violations.append(
-            Violation(
-                invariant="completion-uniqueness",
-                policy=policy,
-                detail="a request completed more than once",
-                time=float("nan"),
-            )
-        )
+    by_class: dict[QoSClass, ResponseTimeCollector] = system.by_class
+    overall = system.overall
     return CheckedRun(
         policy=policy,
         completed=len(completed),
@@ -827,9 +777,9 @@ def run_checked(
         primary_completed=len(by_class[QoSClass.PRIMARY]),
         overflow_completed=len(by_class[QoSClass.OVERFLOW]),
         primary_misses=primary_misses,
-        fraction_within=driver.fraction_within(delta),
-        mean_response=driver.overall.stats.mean,
-        p99_response=driver.overall.percentile(99),
+        fraction_within=system.fraction_within(delta),
+        mean_response=overall.stats.mean,
+        p99_response=overall.percentile(99),
         violations=tuple(violations),
     )
 

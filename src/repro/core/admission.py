@@ -47,12 +47,18 @@ class AdmissionController:
     headroom:
         Fraction of server capacity withheld from admission (safety
         margin), in ``[0, 1)``.
+    device_depth:
+        When set, each tier is planned against the δ_eff-corrected bound
+        of a depth-``k`` device window (see
+        :class:`~repro.core.capacity.CapacityPlanner`); ``None`` plans
+        against δ itself.
     """
 
     server_capacity: float
     worst_case: bool = False
     headroom: float = 0.0
     clients: list[AdmittedClient] = field(default_factory=list)
+    device_depth: int | None = None
 
     def __post_init__(self) -> None:
         if self.server_capacity <= 0:
@@ -80,7 +86,9 @@ class AdmissionController:
         requirement = 0.0
         for tier in sla:
             fraction = 1.0 if self.worst_case else tier.fraction
-            planner = CapacityPlanner(workload, tier.delta)
+            planner = CapacityPlanner(
+                workload, tier.delta, device_depth=self.device_depth
+            )
             requirement = max(requirement, planner.min_capacity(fraction))
         return requirement
 

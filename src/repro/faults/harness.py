@@ -1,12 +1,14 @@
-"""Fault-tolerant serving harness: `run_policy` for a world that breaks.
+"""Fault-tolerant serving harness: the shaping stack in a world that breaks.
 
-:func:`run_resilient` mirrors :func:`repro.shaping.run_policy` — same
-capacity allocation, same policies — but builds the stack from
-crash-capable parts: a :class:`~repro.faults.server.FaultableServer`
-(or two, for Split) behind a :class:`~repro.faults.injector.
-FaultyModel`, a :class:`~repro.faults.injector.FaultInjector` turning
-the :class:`~repro.faults.schedule.FaultSchedule` into simulator
-events, optional driver-level timeout/retry, and an optional
+:func:`run_resilient` serves a workload on the stack
+:func:`repro.stack.build_stack` builds for the policy — same capacity
+allocation, same policies as :func:`repro.shaping.run_policy` — with a
+:class:`~repro.stack.FaultPlan` armed: crash-capable
+:class:`~repro.faults.server.FaultableServer` units behind
+:class:`~repro.faults.injector.FaultyModel` s, a
+:class:`~repro.faults.injector.FaultInjector` turning the
+:class:`~repro.faults.schedule.FaultSchedule` into simulator events,
+optional driver-level timeout/retry, and an optional
 :class:`~repro.faults.controller.AdaptiveShaper` closing the loop from
 miss rate back to ``maxQ1``.  After every run the conservation
 invariant is asserted: each arrival completed, was shed, or was dropped
@@ -27,66 +29,30 @@ from dataclasses import dataclass, field
 
 from ..core.request import QoSClass
 from ..core.workload import Workload
-from ..exceptions import ConfigurationError
 from ..obs.registry import MetricsRegistry
-from ..obs.sampler import Sampler, attach_standard_probes
-from ..sched.registry import (
-    CLASSIFIER_FREE_POLICIES,
-    SINGLE_SERVER_POLICIES,
-    make_scheduler,
-)
-from ..server.aqm import make_window, resolve_aqm
-from ..server.cluster import SplitSystem
-from ..server.constant_rate import ConstantRateModel
-from ..server.driver import DeviceDriver
-from ..server.farm import ServerFarm
-from ..server.sizesplit import SizeSplitSystem
+from ..sched.registry import CLASSIFIER_FREE_POLICIES
+from ..server.aqm import resolve_aqm
 from ..sim.engine import Simulator
-from ..sim.rng import derive_seed
 from ..sim.source import WorkloadSource
 from ..sim.stats import ResponseTimeCollector
-from .controller import AdaptiveShaper, ControllerConfig
-from .injector import FaultInjector, FaultState, FaultyModel
+from ..stack import FaultPlan, RunConfig, attach_sampler, build_stack, require_adaptable
+from .controller import ControllerConfig
 from .invariants import ConservationReport, assert_conservation
 from .retry import RetryPolicy
 from .schedule import FaultSchedule, random_schedule
-from .server import FaultableServer
 
 #: Policies the resilience experiment compares (the paper's four
 #: recombiners; the classifier-free FCFS baseline cannot adapt).
 RESILIENCE_POLICIES = ("fcfs", "split", "fairqueue", "miser")
 
 
-@dataclass(frozen=True)
-class ResilientRunResult:
-    """Outcome of one fault-injected (or healthy-baseline) run."""
+class FaultRunViews:
+    """Compliance views shared by the fault-capable run results.
 
-    policy: str
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
-    schedule: FaultSchedule
-    overall: ResponseTimeCollector
-    primary: ResponseTimeCollector
-    overflow: ResponseTimeCollector
-    completed: list = field(repr=False, default_factory=list)
-    dropped: list = field(repr=False, default_factory=list)
-    shed: list = field(repr=False, default_factory=list)
-    primary_misses: int = 0
-    demotions: int = 0
-    failovers: int = 0
-    conservation: ConservationReport | None = None
-    #: Controller stats when adaptive shaping ran (else None).
-    degrades: int | None = None
-    recoveries: int | None = None
-    final_limit: int | None = None
-    samples: list = field(repr=False, default_factory=list)
-    #: AQM window policy the stack ran with (``None`` = no window).
-    aqm: str | None = None
-    #: Final window statistics (``snapshot()`` dict(s)); ``None`` when
-    #: no window was armed.
-    window: dict | None = None
+    Mixed into :class:`ResilientRunResult` and
+    :class:`repro.serve.harness.ServeRunResult`; needs ``delta``,
+    ``overall``, ``primary``, ``primary_misses`` and ``completed``.
+    """
 
     def fraction_within(self, bound: float | None = None) -> float:
         return self.overall.fraction_within(self.delta if bound is None else bound)
@@ -123,6 +89,38 @@ class ResilientRunResult:
         return float("nan")
 
 
+@dataclass(frozen=True)
+class ResilientRunResult(FaultRunViews):
+    """Outcome of one fault-injected (or healthy-baseline) run."""
+
+    policy: str
+    workload_name: str
+    cmin: float
+    delta_c: float
+    delta: float
+    schedule: FaultSchedule
+    overall: ResponseTimeCollector
+    primary: ResponseTimeCollector
+    overflow: ResponseTimeCollector
+    completed: list = field(repr=False, default_factory=list)
+    dropped: list = field(repr=False, default_factory=list)
+    shed: list = field(repr=False, default_factory=list)
+    primary_misses: int = 0
+    demotions: int = 0
+    failovers: int = 0
+    conservation: ConservationReport | None = None
+    #: Controller stats when adaptive shaping ran (else None).
+    degrades: int | None = None
+    recoveries: int | None = None
+    final_limit: int | None = None
+    samples: list = field(repr=False, default_factory=list)
+    #: AQM window policy the stack ran with (``None`` = no window).
+    aqm: str | None = None
+    #: Final window statistics (``snapshot()`` dict(s)); ``None`` when
+    #: no window was armed.
+    window: dict | None = None
+
+
 def run_resilient(
     workload: Workload,
     policy: str,
@@ -142,12 +140,15 @@ def run_resilient(
 ) -> ResilientRunResult:
     """Serve ``workload`` under ``policy`` on a fault-injected stack.
 
-    Capacity allocation follows :func:`repro.shaping.run_policy`
-    (Section 4.3).  ``schedule`` drives the injector; ``retry`` arms the
-    driver's timeout/retry path; ``adaptive=True`` installs an
-    :class:`AdaptiveShaper` on the sampler cadence (``sample_interval``
-    defaults to ``delta`` when unset).  The conservation invariant is
-    asserted before returning.
+    The stack is :func:`~repro.stack.build_stack`'s for
+    ``RunConfig(cmin, delta_c, delta, metrics=, aqm=, aqm_shared=)``
+    (validated there: e.g. ``aqm_shared`` without ``aqm`` is a
+    :class:`~repro.exceptions.ConfigurationError`) with the fault plan
+    ``(schedule, retry, inflight, seed)`` armed.  ``schedule`` drives the
+    injector; ``retry`` arms the driver's timeout/retry path;
+    ``adaptive=True`` installs an :class:`AdaptiveShaper` on the sampler
+    cadence (``sample_interval`` defaults to ``delta`` when unset).  The
+    conservation invariant is asserted before returning.
 
     ``aqm`` arms a driver-level in-flight window (:mod:`repro.server.
     aqm`): crash-requeues and retries then re-enter through the
@@ -155,119 +156,31 @@ def run_resilient(
     of instantaneous requeue.  The ledger gains a ``window`` residency
     bucket, asserted drained (zero) at end of run.
     """
-    if cmin <= 0 or delta_c < 0 or delta <= 0:
-        raise ConfigurationError(
-            f"bad configuration: cmin={cmin}, delta_c={delta_c}, delta={delta}"
-        )
+    config = RunConfig(
+        cmin, delta_c, delta, metrics=metrics, aqm=aqm, aqm_shared=aqm_shared
+    )
     schedule = schedule if schedule is not None else FaultSchedule()
     aqm = resolve_aqm(aqm)
     sim = Simulator()
-    state = FaultState()
-
-    if policy == "split":
-        def factory(sim_, capacity, name):
-            return FaultableServer(
-                sim_,
-                FaultyModel(
-                    ConstantRateModel(capacity),
-                    state,
-                    seed=derive_seed(seed, "faults.server", name),
-                ),
-                name=name,
-                inflight=inflight,
-            )
-
-        system = SplitSystem(
-            sim, cmin, delta_c, delta,
-            metrics=metrics, server_factory=factory, retry=retry,
-            aqm=aqm, aqm_shared=aqm_shared,
-        )
-        servers = system.servers
-        loop_driver = system.primary_driver
-        shed_from = system.overflow_driver
-        classifier = system.classifier
-    elif policy == "splitfarm":
-        if adaptive:
-            raise ConfigurationError(
-                "adaptive control is not supported for splitfarm: Q1 "
-                "completions span both size partitions, so no single "
-                "driver carries the controller's inputs"
-            )
-
-        def farm_factory(sim_, capacity, units, name):
-            def unit_factory(s, model, name="unit"):
-                return FaultableServer(s, model, name=name, inflight=inflight)
-
-            models = [
-                FaultyModel(
-                    ConstantRateModel(capacity / units),
-                    state,
-                    seed=derive_seed(seed, "faults.server", f"{name}[{i}]"),
-                )
-                for i in range(units)
-            ]
-            return ServerFarm(sim_, models, name=name, unit_factory=unit_factory)
-
-        system = SizeSplitSystem(
-            sim, cmin, delta_c, delta,
-            metrics=metrics, farm_factory=farm_factory, retry=retry,
-            aqm=aqm, aqm_shared=aqm_shared,
-        )
-        servers = system.servers
-        loop_driver = system.small_driver
-        shed_from = system.large_driver
-        classifier = system.classifier
-    elif policy in SINGLE_SERVER_POLICIES:
-        scheduler = make_scheduler(policy, cmin, delta_c, delta)
-        server = FaultableServer(
-            sim,
-            FaultyModel(
-                ConstantRateModel(cmin + delta_c),
-                state,
-                seed=derive_seed(seed, "faults.server", policy),
-            ),
-            name=policy,
-            inflight=inflight,
-        )
-        system = DeviceDriver(
-            sim, server, scheduler, metrics=metrics, retry=retry,
-            window=make_window(aqm, delta),
-        )
-        servers = [server]
-        loop_driver = system
-        shed_from = system
-        classifier = system.classifier
-    else:
-        raise ConfigurationError(f"unknown policy {policy!r}")
-
-    injector = FaultInjector(
-        sim, schedule, servers=servers, state=state, metrics=metrics
+    system = build_stack(
+        sim, policy, config, FaultPlan(schedule, retry, inflight, seed)
     )
-    injector.install()
-
-    sampler: Sampler | None = None
-    controller: AdaptiveShaper | None = None
-    if adaptive and classifier is None:
-        raise ConfigurationError(
-            f"policy {policy!r} has no admission bound to adapt (use a "
-            "classifying policy or adaptive=False)"
-        )
+    sampler = controller = None
+    if adaptive:
+        require_adaptable(policy, system)
     if adaptive or sample_interval is not None:
         interval = sample_interval if sample_interval is not None else delta
-        sampler = Sampler(sim, interval)
-        attach_standard_probes(sampler, system)
         # Keep ticking past the arrival window so the controller can
         # observe the post-fault recovery and restore the planned bound.
-        horizon = max(workload.duration, schedule.last_clear) + 20 * interval
-        sampler.install(until=horizon)
-        if adaptive:
-            controller = AdaptiveShaper(
-                driver=loop_driver,
-                classifier=classifier,
-                config=controller_config,
-                metrics=metrics,
-                shed_from=shed_from,
-            ).install(sampler)
+        sampler, controller = attach_sampler(
+            sim,
+            system,
+            interval,
+            until=max(workload.duration, schedule.last_clear) + 20 * interval,
+            adaptive=adaptive,
+            controller_config=controller_config,
+            metrics=metrics,
+        )
 
     source = WorkloadSource(sim, workload, system)
     source.start()
@@ -290,12 +203,7 @@ def run_resilient(
             )
 
     by_class = system.by_class
-    if policy == "fcfs":
-        primary = ResponseTimeCollector("Q1")
-        overflow = ResponseTimeCollector("Q2")
-    else:
-        primary = by_class[QoSClass.PRIMARY]
-        overflow = by_class[QoSClass.OVERFLOW]
+    classifier = system.classifier
     return ResilientRunResult(
         policy=policy,
         workload_name=workload.name,
@@ -304,20 +212,14 @@ def run_resilient(
         delta=delta,
         schedule=schedule,
         overall=system.overall,
-        primary=primary,
-        overflow=overflow,
+        primary=by_class[QoSClass.PRIMARY],
+        overflow=by_class[QoSClass.OVERFLOW],
         completed=list(system.completed),
         dropped=list(system.dropped),
         shed=list(system.shed),
         primary_misses=system.primary_deadline_misses(),
-        demotions=(
-            system.demotions
-            if isinstance(system, DeviceDriver)
-            else system.small_driver.demotions + system.large_driver.demotions
-            if isinstance(system, SizeSplitSystem)
-            else system.primary_driver.demotions + system.overflow_driver.demotions
-        ),
-        failovers=getattr(system, "failovers", 0),
+        demotions=system.demotions,
+        failovers=system.failovers,
         conservation=conservation,
         degrades=controller.degrades if controller is not None else None,
         recoveries=controller.recoveries if controller is not None else None,

@@ -149,45 +149,33 @@ def _driver_probes(sampler: Sampler, driver, prefix: str = "") -> None:
 def attach_standard_probes(sampler: Sampler, system) -> Sampler:
     """Wire the conventional probe set for ``system``.
 
-    ``system`` is either a single-server driver (has ``scheduler`` and
-    ``server``) or a split topology (has ``primary_driver`` and
-    ``overflow_driver``); anything exposing the same attributes works.
-    A wrapper carrying its serving stack in a ``system`` attribute —
-    e.g. :class:`repro.serve.harness.ServiceHarness` — is unwrapped
-    first, so the whole control plane can be probed directly.
+    ``system`` is anything speaking the topology protocol of
+    :mod:`repro.stack` — a lone :class:`~repro.server.driver.
+    DeviceDriver` (unprefixed columns) or a two-driver topology (columns
+    prefixed by its ``labels``, e.g. ``q1_``/``q2_``, plus a front-end
+    ``len_q1``).  A wrapper carrying its serving stack in a ``system``
+    attribute — e.g. :class:`repro.serve.harness.ServiceHarness` — is
+    unwrapped first, so the whole control plane can be probed directly.
     Returns the sampler for chaining.
     """
-    known = ("scheduler", "primary_driver", "small_driver")
-    while not any(hasattr(system, a) for a in known) and hasattr(
-        system, "system"
-    ):
+    while not hasattr(system, "drivers") and hasattr(system, "system"):
         system = system.system
-    if hasattr(system, "scheduler") and hasattr(system, "server"):
-        _scheduler_probes(sampler, system.scheduler)
-        _driver_probes(sampler, system)
-    elif hasattr(system, "primary_driver") and hasattr(system, "overflow_driver"):
-        _scheduler_probes(sampler, system.primary_driver.scheduler, prefix="q1_")
-        _scheduler_probes(sampler, system.overflow_driver.scheduler, prefix="q2_")
-        _driver_probes(sampler, system.primary_driver, prefix="q1_")
-        _driver_probes(sampler, system.overflow_driver, prefix="q2_")
-        classifier = getattr(system, "classifier", None)
-        if classifier is not None:
-            sampler.probe("len_q1", lambda: classifier.len_q1)
-    elif hasattr(system, "small_driver") and hasattr(system, "large_driver"):
-        _scheduler_probes(sampler, system.small_driver.scheduler, prefix="small_")
-        _scheduler_probes(sampler, system.large_driver.scheduler, prefix="large_")
-        _driver_probes(sampler, system.small_driver, prefix="small_")
-        _driver_probes(sampler, system.large_driver, prefix="large_")
-        classifier = getattr(system, "classifier", None)
-        if classifier is not None:
-            sampler.probe("len_q1", lambda: classifier.len_q1)
-    else:
+    drivers = getattr(system, "drivers", None)
+    if drivers is None:
         raise ConfigurationError(
             f"don't know how to probe {type(system).__name__}: expected a "
-            "driver (scheduler + server) or a split topology "
-            "(primary_driver + overflow_driver, or small_driver + "
-            "large_driver)"
+            "driver or a topology exposing `drivers`"
         )
+    prefixes = (
+        ("",) if len(drivers) == 1 else tuple(f"{label}_" for label in system.labels)
+    )
+    for driver, prefix in zip(drivers, prefixes):
+        _scheduler_probes(sampler, driver.scheduler, prefix=prefix)
+    for driver, prefix in zip(drivers, prefixes):
+        _driver_probes(sampler, driver, prefix=prefix)
+    classifier = system.classifier
+    if len(drivers) > 1 and classifier is not None:
+        sampler.probe("len_q1", lambda: classifier.len_q1)
     return sampler
 
 

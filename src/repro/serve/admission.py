@@ -15,14 +15,12 @@ Two granularities, matching the paper's two admission stories:
   simulator is made impossible to hide.
 * **Per client** — :meth:`AdmissionService.admit_client` sizes a
   candidate client by its decomposed capacity (Section 4.4's additivity
-  argument) exactly as the offline
-  :class:`~repro.core.admission.AdmissionController` does, generalized
-  with the ``device_depth`` δ_eff correction of
-  :class:`~repro.core.capacity.CapacityPlanner`: a serving stack running
-  a depth-``k`` device window must budget the queue's share of the
-  deadline at planning time too.  With ``device_depth=None`` every
-  decision is bit-identical to the offline controller on the same
-  client prefix (certified by ``tests/serve/test_admission.py``).
+  argument) by delegating to the offline
+  :class:`~repro.core.admission.AdmissionController`, including its
+  ``device_depth`` δ_eff correction: a serving stack running a depth-``k``
+  device window must budget the queue's share of the deadline at
+  planning time too.  Every decision is the offline controller's
+  (certified decision-for-decision by ``tests/serve/test_admission.py``).
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..core.admission import AdmittedClient
-from ..core.capacity import CapacityPlanner
+from ..core.admission import AdmissionController, AdmittedClient
 from ..core.request import Request
 from ..core.sla import GraduatedSLA
 from ..core.workload import Workload
@@ -91,14 +88,10 @@ class AdmissionService:
         full — adding overflow work only bloats it).  Default off, which
         makes the service a pure observer and keeps serve ≡ simulate
         bit-identical; the harness's parity replays rely on that.
-    server_capacity, worst_case, headroom:
-        Arm the client-level half (:meth:`admit_client`), mirroring
-        :class:`~repro.core.admission.AdmissionController`'s policy
-        knobs.  ``server_capacity=None`` leaves it unarmed.
-    device_depth:
-        When set, client sizing plans against the δ_eff-corrected bound
-        (see :class:`~repro.core.capacity.CapacityPlanner`); ``None``
-        reproduces the offline controller's decisions exactly.
+    server_capacity, worst_case, headroom, device_depth:
+        Arm the client-level half (:meth:`admit_client`): an
+        :class:`~repro.core.admission.AdmissionController` built with
+        these knobs.  ``server_capacity=None`` leaves it unarmed.
     metrics:
         Optional registry for ``serve.admission.*`` counters.
     """
@@ -114,22 +107,19 @@ class AdmissionService:
         device_depth: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        if server_capacity is not None and server_capacity <= 0:
-            raise ConfigurationError(
-                f"server capacity must be positive, got {server_capacity}"
-            )
-        if not 0.0 <= headroom < 1.0:
-            raise ConfigurationError(
-                f"headroom must be in [0, 1), got {headroom}"
-            )
         self.classifier = classifier
         self.window = window
         self.reject_on_overload = bool(reject_on_overload)
-        self.server_capacity = server_capacity
-        self.worst_case = bool(worst_case)
-        self.headroom = float(headroom)
-        self.device_depth = device_depth
-        self.clients: list[AdmittedClient] = []
+        self.controller = (
+            None
+            if server_capacity is None
+            else AdmissionController(
+                server_capacity,
+                worst_case=worst_case,
+                headroom=headroom,
+                device_depth=device_depth,
+            )
+        )
         metrics = metrics if metrics is not None else NULL_REGISTRY
         self._m_admit = metrics.counter("serve.admission.admit")
         self._m_demote = metrics.counter("serve.admission.demote")
@@ -214,57 +204,40 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     @property
+    def clients(self) -> list[AdmittedClient]:
+        """Onboarded clients, in admission order."""
+        return [] if self.controller is None else self.controller.clients
+
+    @property
     def committed(self) -> float:
         """Capacity already promised to onboarded clients."""
-        return sum(c.planned_capacity for c in self.clients)
+        return 0.0 if self.controller is None else self.controller.committed
 
     @property
     def available(self) -> float:
-        if self.server_capacity is None:
-            raise ConfigurationError(
-                "client-level admission is unarmed: construct the service "
-                "with server_capacity"
-            )
-        return self.server_capacity * (1.0 - self.headroom) - self.committed
+        return self._armed().available
 
     def required_capacity(self, workload: Workload, sla: GraduatedSLA) -> float:
-        """Capacity this client is billed for (max over tiers of Cmin).
-
-        Identical to :meth:`repro.core.admission.AdmissionController.
-        required_capacity`, except that a configured ``device_depth``
-        plans each tier against ``δ_eff(C) = δ − k·E[demand]/C``.
-        """
-        requirement = 0.0
-        for tier in sla:
-            fraction = 1.0 if self.worst_case else tier.fraction
-            planner = CapacityPlanner(
-                workload, tier.delta, device_depth=self.device_depth
-            )
-            requirement = max(requirement, planner.min_capacity(fraction))
-        return requirement
+        """Capacity this client is billed for (max over tiers of Cmin)."""
+        return self._armed().required_capacity(workload, sla)
 
     def admit_client(
         self, workload: Workload, sla: GraduatedSLA
     ) -> AdmittedClient | None:
-        """Onboard the client if its planned capacity fits; else ``None``.
-
-        The availability rule (``needed > available + 1e-9`` rejects) is
-        the offline controller's, verbatim — the serve-vs-core admission
-        differential holds decision-for-decision on any client prefix.
-        """
-        needed = self.required_capacity(workload, sla)
-        if needed > self.available + 1e-9:
-            return None
-        client = AdmittedClient(
-            name=workload.name, sla=sla, planned_capacity=needed
-        )
-        self.clients.append(client)
-        return client
+        """Onboard the client if its planned capacity fits; else ``None``."""
+        return self._armed().try_admit(workload, sla)
 
     def release_client(self, name: str) -> None:
         """Offboard an onboarded client by name."""
-        for i, client in enumerate(self.clients):
-            if client.name == name:
-                del self.clients[i]
-                return
-        raise AdmissionError(f"no onboarded client named {name!r}")
+        try:
+            self._armed().release(name)
+        except AdmissionError:
+            raise AdmissionError(f"no onboarded client named {name!r}") from None
+
+    def _armed(self) -> AdmissionController:
+        if self.controller is None:
+            raise ConfigurationError(
+                "client-level admission is unarmed: construct the service "
+                "with server_capacity"
+            )
+        return self.controller

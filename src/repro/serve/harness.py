@@ -15,10 +15,10 @@ certify **serve ≡ simulate, bit for bit**:
   current one is delivered, identical :class:`~repro.core.request.
   Request` construction — while also accepting requests staged mid-run
   (the ingestion path);
-* the serving stack is constructed with the very same component recipe
-  as ``run_policy`` (healthy) or ``run_resilient`` (fault mode), so
-  event order, float operation order, and therefore every response time
-  are identical;
+* the serving stack comes from :func:`repro.stack.build_stack`, the
+  builder behind ``run_policy`` (healthy) and ``run_resilient`` (fault
+  mode), so event order, float operation order, and therefore every
+  response time are identical;
 * the admission service runs **predict-then-verify**: each delivery is
   preceded by a read-only :meth:`~repro.serve.admission.AdmissionService.
   decide` and followed by a check that the stack's authoritative
@@ -34,7 +34,7 @@ clock lands on the boundary — and every chunk edge doubles as an epoch
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,24 +42,17 @@ from ..core.request import QoSClass, Request
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
 from ..faults.controller import AdaptiveShaper, ControllerConfig
-from ..faults.injector import FaultInjector, FaultState, FaultyModel
+from ..faults.harness import FaultRunViews
 from ..faults.invariants import ConservationReport, assert_conservation
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule
-from ..faults.server import FaultableServer
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
-from ..obs.sampler import Sampler, attach_standard_probes
-from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
-from ..server.aqm import make_window, resolve_aqm
-from ..server.cluster import SplitSystem
-from ..server.constant_rate import ConstantRateModel, constant_rate_server
-from ..server.driver import DeviceDriver
-from ..server.farm import ServerFarm
-from ..server.sizesplit import SizeSplitSystem
+from ..obs.sampler import Sampler
+from ..server.aqm import resolve_aqm
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_ARRIVAL
-from ..sim.rng import derive_seed
 from ..sim.stats import ResponseTimeCollector
+from ..stack import FaultPlan, RunConfig, attach_sampler, build_stack, require_adaptable
 from .admission import AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .placement import PlacementPlan
@@ -164,7 +157,7 @@ class StagedSource:
 
 
 @dataclass(frozen=True)
-class ServeRunResult:
+class ServeRunResult(FaultRunViews):
     """Outcome of one harness run: the serving plane's full ledger."""
 
     policy: str
@@ -204,40 +197,6 @@ class ServeRunResult:
     window: dict | None = None
     final_limit: int | None = None
 
-    def fraction_within(self, bound: float | None = None) -> float:
-        return self.overall.fraction_within(
-            self.delta if bound is None else bound
-        )
-
-    def q1_compliance(self) -> float:
-        total = len(self.primary)
-        if total == 0:
-            return float("nan")
-        return 1.0 - self.primary_misses / total
-
-    def q1_compliance_after(self, instant: float) -> float:
-        """Q1 deadline compliance among arrivals after ``instant``.
-
-        Same acceptance metric as :meth:`repro.faults.harness.
-        ResilientRunResult.q1_compliance_after` — at
-        ``schedule.last_clear`` it answers whether the *service*
-        restored the guarantee after the faults cleared.
-        """
-        done = [
-            r
-            for r in self.completed
-            if r.qos_class is QoSClass.PRIMARY and r.arrival > instant
-        ]
-        if done:
-            return sum(1 for r in done if r.met_deadline) / len(done)
-        if not any(r.qos_class is QoSClass.PRIMARY for r in self.completed):
-            late = [r for r in self.completed if r.arrival > instant]
-            if late:
-                return sum(
-                    1 for r in late if r.response_time <= self.delta + 1e-12
-                ) / len(late)
-        return float("nan")
-
 
 class ServiceHarness:
     """Drive the full serving plane under a deterministic virtual clock.
@@ -254,7 +213,8 @@ class ServiceHarness:
         ``effective_delta`` (deadline minus inter-node latency) becomes
         the deadline the stack enforces.
     admission, aqm, aqm_shared:
-        Forwarded to the stack exactly as ``RunConfig`` would.
+        The stack's :class:`~repro.stack.RunConfig` fields (validated
+        there: ``aqm_shared`` without ``aqm`` is rejected).
     reject_on_overload:
         Arm the admission service's reject path (default off — parity
         replays require the pure-observer mode).
@@ -262,8 +222,10 @@ class ServiceHarness:
         ``AutoscalerConfig`` (a loop is built around the stack's
         classifier) or a prebuilt ``Autoscaler``; ``None`` disables.
     faults, retry, adaptive, controller_config, inflight, seed:
-        Arm the fault plane; the stack is then built with
-        ``run_resilient``'s exact component recipe.
+        Arm the fault plane: the stack is built by
+        :func:`~repro.stack.build_stack` with the
+        :class:`~repro.stack.FaultPlan` ``(faults, retry, inflight,
+        seed)`` — the same stack ``run_resilient`` serves.
     sample_interval:
         Periodic probe sampling (defaults to ``delta`` in fault mode
         when ``adaptive`` needs a sampler, else disabled).
@@ -303,11 +265,10 @@ class ServiceHarness:
                 "cmin, delta_c and delta are required (directly or via "
                 "a placement plan)"
             )
-        if cmin <= 0 or delta_c < 0 or delta <= 0:
-            raise ConfigurationError(
-                f"bad configuration: cmin={cmin}, delta_c={delta_c}, "
-                f"delta={delta}"
-            )
+        config = RunConfig(
+            cmin, delta_c, delta,
+            metrics=metrics, admission=admission, aqm=aqm, aqm_shared=aqm_shared,
+        )
         self.policy = policy
         self.cmin = float(cmin)
         self.delta_c = float(delta_c)
@@ -322,23 +283,27 @@ class ServiceHarness:
             )
         self.metrics = metrics
         self.schedule = faults
-        self.retry = retry
         self.adaptive = bool(adaptive)
         self.controller_config = controller_config
-        self.inflight = inflight
-        self.seed = seed
         self.sample_interval = sample_interval
         self.aqm = resolve_aqm(aqm)
-        self.aqm_shared = bool(aqm_shared)
         self._user_on_request = on_request
-        self._fault_mode = (
-            faults is not None or retry is not None or self.adaptive
-        )
+        fault_mode = faults is not None or retry is not None or self.adaptive
         self.sim = Simulator()
-        self._build_stack(admission)
+        self.system = build_stack(
+            self.sim,
+            policy,
+            replace(config, delta=self.effective_delta),
+            FaultPlan(faults, retry, inflight, seed) if fault_mode else None,
+        )
+        self.classifier = self.system.classifier
+        if self.adaptive:
+            require_adaptable(policy, self.system)
+        # A reject replaces a *demotion*, so the saturation signal is the
+        # window of the driver demoted work would land on.
         self.admission_service = AdmissionService(
             classifier=self.classifier,
-            window=self._decision_window(),
+            window=self.system.demotion_target.window,
             reject_on_overload=reject_on_overload,
             metrics=metrics,
         )
@@ -369,155 +334,6 @@ class ServiceHarness:
         self._m_delivered = registry.counter("serve.delivered")
         self._m_rejected = registry.counter("serve.rejected")
         self._m_violations = registry.counter("serve.violations")
-
-    # ------------------------------------------------------------------
-    # Stack construction (the certified recipes, verbatim)
-    # ------------------------------------------------------------------
-
-    def _build_stack(self, admission: str) -> None:
-        sim = self.sim
-        cmin, delta_c = self.cmin, self.delta_c
-        delta = self.effective_delta
-        metrics = self.metrics
-        policy = self.policy
-        aqm = self.aqm
-        if self._fault_mode:
-            state = FaultState()
-            self._fault_state = state
-            if policy == "split":
-                def factory(sim_, capacity, name):
-                    return FaultableServer(
-                        sim_,
-                        FaultyModel(
-                            ConstantRateModel(capacity),
-                            state,
-                            seed=derive_seed(self.seed, "faults.server", name),
-                        ),
-                        name=name,
-                        inflight=self.inflight,
-                    )
-
-                self.system = SplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    server_factory=factory, retry=self.retry,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-                self.servers = self.system.servers
-                self._loop_driver = self.system.primary_driver
-                self._shed_from = self.system.overflow_driver
-            elif policy == "splitfarm":
-                if self.adaptive:
-                    raise ConfigurationError(
-                        "adaptive control is not supported for splitfarm"
-                    )
-
-                def farm_factory(sim_, capacity, units, name):
-                    def unit_factory(s, model, name="unit"):
-                        return FaultableServer(
-                            s, model, name=name, inflight=self.inflight
-                        )
-
-                    models = [
-                        FaultyModel(
-                            ConstantRateModel(capacity / units),
-                            state,
-                            seed=derive_seed(
-                                self.seed, "faults.server", f"{name}[{i}]"
-                            ),
-                        )
-                        for i in range(units)
-                    ]
-                    return ServerFarm(
-                        sim_, models, name=name, unit_factory=unit_factory
-                    )
-
-                self.system = SizeSplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    farm_factory=farm_factory, retry=self.retry,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-                self.servers = self.system.servers
-                self._loop_driver = self.system.small_driver
-                self._shed_from = self.system.large_driver
-            elif policy in SINGLE_SERVER_POLICIES:
-                scheduler = make_scheduler(
-                    policy, cmin, delta_c, delta, admission=admission
-                )
-                server = FaultableServer(
-                    sim,
-                    FaultyModel(
-                        ConstantRateModel(cmin + delta_c),
-                        state,
-                        seed=derive_seed(self.seed, "faults.server", policy),
-                    ),
-                    name=policy,
-                    inflight=self.inflight,
-                )
-                self.system = DeviceDriver(
-                    sim, server, scheduler, metrics=metrics, retry=self.retry,
-                    window=make_window(aqm, delta),
-                )
-                self.servers = [server]
-                self._loop_driver = self.system
-                self._shed_from = self.system
-            else:
-                raise ConfigurationError(f"unknown policy {policy!r}")
-            self.injector = FaultInjector(
-                sim,
-                self.schedule if self.schedule is not None else FaultSchedule(),
-                servers=self.servers,
-                state=state,
-                metrics=metrics,
-            )
-        else:
-            self.injector = None
-            self.servers = []
-            if policy == "split":
-                self.system = SplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-            elif policy == "splitfarm":
-                self.system = SizeSplitSystem(
-                    sim, cmin, delta_c, delta,
-                    metrics=metrics, admission=admission,
-                    aqm=aqm, aqm_shared=self.aqm_shared,
-                )
-            elif policy in SINGLE_SERVER_POLICIES:
-                scheduler = make_scheduler(
-                    policy, cmin, delta_c, delta, admission=admission
-                )
-                server = constant_rate_server(
-                    sim, cmin + delta_c, name=policy
-                )
-                self.system = DeviceDriver(
-                    sim, server, scheduler, metrics=metrics,
-                    window=make_window(aqm, delta),
-                )
-            else:
-                raise ConfigurationError(f"unknown policy {policy!r}")
-            self._loop_driver = getattr(
-                self.system, "primary_driver",
-                getattr(self.system, "small_driver", self.system),
-            )
-            self._shed_from = getattr(
-                self.system, "overflow_driver",
-                getattr(self.system, "large_driver", self.system),
-            )
-        self.classifier = self.system.classifier
-        if self.adaptive and self.classifier is None:
-            raise ConfigurationError(
-                f"policy {policy!r} has no admission bound to adapt"
-            )
-
-    def _decision_window(self):
-        # A reject replaces a *demotion*, so the saturation signal is
-        # the window of the driver demoted work would land on (the
-        # overflow side in a topology, the only driver otherwise).
-        return getattr(self._shed_from, "window", None)
 
     # ------------------------------------------------------------------
     # Ingestion and delivery (predict-then-verify)
@@ -582,29 +398,22 @@ class ServiceHarness:
         if self._started:
             return
         self._started = True
-        if self.injector is not None:
-            self.injector.install()
-        needs_sampler = self.adaptive or self.sample_interval is not None
-        if needs_sampler:
+        if self.adaptive or self.sample_interval is not None:
             interval = (
                 self.sample_interval
                 if self.sample_interval is not None
                 else self.effective_delta
             )
-            self.sampler = Sampler(self.sim, interval)
-            attach_standard_probes(self.sampler, self)
             last_clear = self.schedule.last_clear if self.schedule else 0.0
-            self.sampler.install(
-                until=max(horizon, last_clear) + 20 * interval
+            self.sampler, self.controller = attach_sampler(
+                self.sim,
+                self.system,
+                interval,
+                until=max(horizon, last_clear) + 20 * interval,
+                adaptive=self.adaptive,
+                controller_config=self.controller_config,
+                metrics=self.metrics,
             )
-            if self.adaptive:
-                self.controller = AdaptiveShaper(
-                    driver=self._loop_driver,
-                    classifier=self.classifier,
-                    config=self.controller_config,
-                    metrics=self.metrics,
-                    shed_from=self._shed_from,
-                ).install(self.sampler)
         if self.autoscaler is not None and self.autoscaler.config.mode != "off":
             self.sim.every(
                 self.autoscaler.config.interval,
@@ -724,20 +533,6 @@ class ServiceHarness:
         for request in self.delivered:
             admitted[request.index] = request.qos_class is QoSClass.PRIMARY
         by_class = system.by_class
-        if self.policy == "fcfs":
-            primary = ResponseTimeCollector("Q1")
-            overflow = ResponseTimeCollector("Q2")
-        else:
-            primary = by_class[QoSClass.PRIMARY]
-            overflow = by_class[QoSClass.OVERFLOW]
-        demotions = (
-            system.demotions
-            if isinstance(system, DeviceDriver)
-            else system.small_driver.demotions + system.large_driver.demotions
-            if isinstance(system, SizeSplitSystem)
-            else system.primary_driver.demotions
-            + system.overflow_driver.demotions
-        )
         return ServeRunResult(
             policy=self.policy,
             workload_name=getattr(self, "_workload_name", "staged"),
@@ -748,8 +543,8 @@ class ServiceHarness:
             responses=responses,
             admitted=admitted,
             overall=system.overall,
-            primary=primary,
-            overflow=overflow,
+            primary=by_class[QoSClass.PRIMARY],
+            overflow=by_class[QoSClass.OVERFLOW],
             primary_misses=system.primary_deadline_misses(),
             ledger=dict(system.fault_ledger()),
             completed=list(system.completed),
@@ -769,8 +564,8 @@ class ServiceHarness:
                 if self.autoscaler is not None
                 else ()
             ),
-            demotions=demotions,
-            failovers=getattr(system, "failovers", 0),
+            demotions=system.demotions,
+            failovers=system.failovers,
             aqm=self.aqm,
             window=system.window_snapshot() if self.aqm is not None else None,
             final_limit=(

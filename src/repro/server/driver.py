@@ -469,6 +469,30 @@ class DeviceDriver:
         return None if self.window is None else self.window.snapshot()
 
     # ------------------------------------------------------------------
+    # Topology protocol (see repro.stack): a lone driver is a one-driver
+    # topology that loops on, and demotes onto, itself.
+    # ------------------------------------------------------------------
+
+    failovers = 0
+
+    @property
+    def drivers(self) -> tuple["DeviceDriver"]:
+        return (self,)
+
+    @property
+    def loop_driver(self) -> "DeviceDriver":
+        return self
+
+    @property
+    def demotion_target(self) -> "DeviceDriver":
+        return self
+
+    @property
+    def servers(self) -> list[Server]:
+        """The service units behind this driver (fault-injection targets)."""
+        return getattr(self.server, "units", [self.server])
+
+    # ------------------------------------------------------------------
     # Reporting helpers
     # ------------------------------------------------------------------
 

@@ -148,12 +148,19 @@ class ServerFarm:
 
 
 def constant_rate_farm(
-    sim: Simulator, total_capacity: float, units: int, name: str = "farm"
+    sim: Simulator,
+    total_capacity: float,
+    units: int,
+    name: str = "farm",
+    unit_factory: Callable[..., Server] | None = None,
 ) -> ServerFarm:
     """A farm of ``units`` equal units summing to ``total_capacity`` IOPS."""
     if units <= 0:
         raise ConfigurationError(f"units must be positive, got {units}")
     per_unit = total_capacity / units
     return ServerFarm(
-        sim, [ConstantRateModel(per_unit) for _ in range(units)], name=name
+        sim,
+        [ConstantRateModel(per_unit) for _ in range(units)],
+        name=name,
+        unit_factory=unit_factory,
     )

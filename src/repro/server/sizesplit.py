@@ -17,30 +17,25 @@ repo's shaping stack:
   by size, not by class, which is exactly the SPLIT-vs-decomposition
   contrast the ``tailbakeoff`` experiment measures.
 
-The aggregation surface (``completed`` / ``overall`` / ``by_class`` /
-``fault_ledger`` / ``add_completion_hook``) mirrors
-:class:`~repro.server.cluster.SplitSystem` so the run layer and the
-closed-loop source drive either topology unchanged.
+The aggregation surface (``completed`` / ``overall`` / ``fault_ledger`` /
+``add_completion_hook`` / ...) is :class:`~repro.server.cluster.
+TwoDriverTopology`'s, shared with the paper's Split, so the run layer and
+the closed-loop source drive either topology unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..core.request import QoSClass, Request
 from ..exceptions import ConfigurationError
-from ..obs.registry import NULL_REGISTRY, MetricsRegistry
-from ..sched.classifier import OnlineRTTClassifier
-from ..sched.fcfs import FCFSScheduler
+from ..obs.registry import MetricsRegistry
 from ..sim.engine import Simulator
 from ..sim.stats import ResponseTimeCollector
-from .aqm import make_window
 from .base import Server
-from .driver import DeviceDriver
-from .farm import ServerFarm, constant_rate_farm
+from .cluster import TwoDriverTopology, UnitFactory
+from .farm import constant_rate_farm
 
 
-class SizeSplitSystem:
+class SizeSplitSystem(TwoDriverTopology):
     """Front end routing small/large requests to partitioned farms.
 
     Parameters
@@ -63,10 +58,10 @@ class SizeSplitSystem:
     metrics:
         Optional registry; the drivers emit under ``small.driver`` /
         ``large.driver`` and the front end counts ``splitfarm.routed_*``.
-    farm_factory:
-        Constructor ``(sim, capacity, units, name) -> ServerFarm`` for
-        the two partitions; defaults to
-        :func:`~repro.server.farm.constant_rate_farm`.
+    unit_factory:
+        Constructor ``(sim, model, name=...) -> Server`` for each farm
+        unit (named ``small[i]`` / ``large[i]``); defaults to
+        :class:`~repro.server.base.Server`.
     retry:
         Optional retry policy handed to both drivers.
     admission:
@@ -79,6 +74,8 @@ class SizeSplitSystem:
         their farm concurrencies) instead of one window per partition.
     """
 
+    labels = ("small", "large")
+
     def __init__(
         self,
         sim: Simulator,
@@ -89,7 +86,7 @@ class SizeSplitSystem:
         small_share: float = 0.5,
         units_per_side: int = 1,
         metrics: MetricsRegistry | None = None,
-        farm_factory: Callable[[Simulator, float, int, str], ServerFarm] | None = None,
+        unit_factory: UnitFactory = Server,
         retry=None,
         admission: str = "count",
         aqm: str | None = None,
@@ -106,55 +103,30 @@ class SizeSplitSystem:
             raise ConfigurationError(
                 f"small_share must be in (0, 1), got {small_share}"
             )
-        self.sim = sim
+        super().__init__(sim, cmin, delta, metrics, admission, aqm, aqm_shared)
         self.threshold = threshold
         self.small_share = small_share
-        # Count mode keeps the seed-era two-argument construction so test
-        # doubles that replace the classifier's __init__ keep working.
-        if admission == "count":
-            self.classifier = OnlineRTTClassifier(cmin, delta)
-        else:
-            self.classifier = OnlineRTTClassifier(cmin, delta, mode=admission)
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        factory = farm_factory if farm_factory is not None else constant_rate_farm
-        self.aqm = aqm
-        self.aqm_shared = bool(aqm_shared)
-        shared_window = make_window(aqm, delta) if self.aqm_shared else None
         # Primary requests land on either side (placement is by size), so
-        # *both* schedulers must release the classifier's Q1 slot.
-        self.small_driver = DeviceDriver(
-            sim,
-            factory(sim, small_share * total, units_per_side, "small"),
-            _SlotReleasingFCFS(self, "small.fcfs"),
-            metrics=self.metrics,
-            metrics_prefix="small.driver",
-            retry=retry,
-            classifier=self.classifier,
-            window=shared_window if self.aqm_shared else make_window(aqm, delta),
+        # *both* schedulers release the classifier's Q1 slot.
+        self.small_driver = self._driver(
+            "small",
+            constant_rate_farm(
+                sim, small_share * total, units_per_side, "small", unit_factory
+            ),
+            retry,
         )
-        self.large_driver = DeviceDriver(
-            sim,
-            factory(sim, (1.0 - small_share) * total, units_per_side, "large"),
-            _SlotReleasingFCFS(self, "large.fcfs"),
-            metrics=self.metrics,
-            metrics_prefix="large.driver",
-            retry=retry,
-            classifier=self.classifier,
-            window=shared_window if self.aqm_shared else make_window(aqm, delta),
+        self.large_driver = self._driver(
+            "large",
+            constant_rate_farm(
+                sim, (1.0 - small_share) * total, units_per_side, "large", unit_factory
+            ),
+            retry,
         )
+        self.drivers = (self.small_driver, self.large_driver)
         self._m_routed_small = self.metrics.counter("splitfarm.routed_small")
         self._m_routed_large = self.metrics.counter("splitfarm.routed_large")
         self.routed_small = 0
         self.routed_large = 0
-
-    @property
-    def servers(self) -> list[Server]:
-        """All service units, small partition first (fault targets)."""
-        units: list[Server] = []
-        for driver in (self.small_driver, self.large_driver):
-            farm = driver.server
-            units.extend(getattr(farm, "units", [farm]))
-        return units
 
     def is_small(self, request: Request) -> bool:
         return request.service_demand <= self.threshold
@@ -171,110 +143,11 @@ class SizeSplitSystem:
             self._m_routed_large.inc()
             self.large_driver.on_arrival(request)
 
-    def add_completion_hook(self, hook) -> None:
-        """Register ``hook(request)`` on both drivers (fires once each)."""
-        self.small_driver.add_completion_hook(hook)
-        self.large_driver.add_completion_hook(hook)
-
-    # ------------------------------------------------------------------
-    # Aggregated views matching DeviceDriver's reporting surface
-    # ------------------------------------------------------------------
-
-    @property
-    def completed(self) -> list[Request]:
-        return self.small_driver.completed + self.large_driver.completed
-
-    @property
-    def dropped(self) -> list[Request]:
-        return self.small_driver.dropped + self.large_driver.dropped
-
-    @property
-    def shed(self) -> list[Request]:
-        return self.small_driver.shed + self.large_driver.shed
-
-    @property
-    def q1_completed(self) -> int:
-        return self.small_driver.q1_completed + self.large_driver.q1_completed
-
-    @property
-    def q1_missed(self) -> int:
-        return self.small_driver.q1_missed + self.large_driver.q1_missed
-
-    @property
-    def overall(self) -> ResponseTimeCollector:
-        merged = ResponseTimeCollector("overall")
-        merged.extend(self.small_driver.overall.samples)
-        merged.extend(self.large_driver.overall.samples)
-        return merged
-
     @property
     def by_class(self) -> dict[QoSClass, ResponseTimeCollector]:
         # Classes mix on both sides by design: always merge.
-        merged = {}
-        for qos, label in (
-            (QoSClass.PRIMARY, "Q1"),
-            (QoSClass.OVERFLOW, "Q2"),
-            (QoSClass.UNCLASSIFIED, "all"),
-        ):
-            collector = ResponseTimeCollector(label)
-            collector.extend(self.small_driver.by_class[qos].samples)
-            collector.extend(self.large_driver.by_class[qos].samples)
-            merged[qos] = collector
-        return merged
-
-    def fraction_within(self, bound: float) -> float:
-        """Completed-weighted compliance across both partitions."""
-        total = len(self.small_driver.completed) + len(self.large_driver.completed)
-        if total == 0:
-            return float("nan")
-        hits = sum(
-            driver.overall.fraction_within(bound) * len(driver.completed)
-            for driver in (self.small_driver, self.large_driver)
-            if driver.completed
-        )
-        return hits / total
-
-    def primary_deadline_misses(self) -> int:
-        return (
-            self.small_driver.primary_deadline_misses()
-            + self.large_driver.primary_deadline_misses()
-        )
-
-    def fault_ledger(self) -> dict[str, int]:
-        """Aggregated conservation buckets across both drivers."""
-        ledger = {
-            "completed": len(self.completed),
-            "dropped": len(self.dropped),
-            "shed": len(self.shed),
-        }
-        if self.aqm is not None:
-            ledger["window"] = (
-                self.small_driver._window_resident
-                + self.large_driver._window_resident
-            )
-        return ledger
-
-    def window_snapshot(self) -> dict | None:
-        """Window statistics (one dict when shared, per-partition otherwise)."""
-        if self.aqm is None:
-            return None
-        if self.aqm_shared:
-            return self.small_driver.window_snapshot()
         return {
-            "small": self.small_driver.window_snapshot(),
-            "large": self.large_driver.window_snapshot(),
+            QoSClass.PRIMARY: self._merged_class(QoSClass.PRIMARY, "Q1"),
+            QoSClass.OVERFLOW: self._merged_class(QoSClass.OVERFLOW, "Q2"),
+            QoSClass.UNCLASSIFIED: self._merged_class(QoSClass.UNCLASSIFIED, "all"),
         }
-
-
-class _SlotReleasingFCFS(FCFSScheduler):
-    """FCFS that releases the classifier's Q1 slot on completion."""
-
-    def __init__(self, system: SizeSplitSystem, name: str):
-        super().__init__()
-        self.name = name
-        self._system = system
-
-    def on_completion(self, request: Request) -> None:
-        if request.qos_class is QoSClass.PRIMARY:
-            self._system.classifier.on_completion(request)
-        self._note_completion(request)

@@ -22,10 +22,9 @@ True
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core.capacity import CapacityPlan, CapacityPlanner
 from .core.request import QoSClass
@@ -34,100 +33,18 @@ from .core.workload import Workload
 from .exceptions import ConfigurationError, SimulationError
 from .obs.export import export_run
 from .obs.registry import MetricsRegistry
-from .obs.sampler import Sampler, attach_standard_probes
+from .obs.sampler import Sampler
 from .perf import engines
-from .sched.registry import ALL_POLICIES, SINGLE_SERVER_POLICIES, make_scheduler
-from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
-from .server.cluster import SplitSystem
-from .server.sizesplit import SizeSplitSystem
-from .server.constant_rate import constant_rate_server
-from .server.driver import DeviceDriver
+from .sched.registry import ALL_POLICIES
+from .server.aqm import resolve_aqm
 from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import WorkloadSource
 from .sim.stats import ResponseTimeCollector
+from .stack import RunConfig, attach_sampler, build_stack
 
 #: Planners kept strongly alive by a :class:`WorkloadShaper` (LRU).
 PLANNER_CACHE_SIZE = 8
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete configuration of one :func:`run_policy` simulation.
-
-    Consolidates what used to be a growing keyword surface (capacity
-    parameters, observability options, engine selection, and now the
-    admission mode) into one validated value that can be stored, hashed
-    into experiment manifests, and passed around whole:
-
-    >>> run_policy(workload, "split", config=RunConfig(3.0, 2.0, 0.5))
-
-    Attributes
-    ----------
-    cmin, delta_c, delta:
-        The capacity plan: decomposition capacity, overflow surplus, and
-        the primary-class response-time bound.
-    record_rates:
-        Completion-rate bin width in seconds (single-server only);
-        ``None`` disables rate recording.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` threaded
-        through driver and scheduler.
-    sample_interval:
-        Period of the standard probe sampler; ``None`` disables it.
-    engine:
-        Execution engine override ("scalar", "batch", "auto"); ``None``
-        defers to :mod:`repro.perf.engines`.
-    admission:
-        Classifier admission mode: ``"count"`` (the paper's
-        ``lenQ1 < floor(C·δ)``) or ``"work"`` (cumulative admitted
-        ``service_demand`` bounded by ``C·δ``).
-    aqm:
-        In-flight window policy bounding the device queue between
-        scheduler and server — one of
-        :data:`repro.server.aqm.AQM_POLICIES` (``"unbounded"``,
-        ``"static"``, ``"codel"``, ``"adaptive"``).  ``None`` (default)
-        means no device queue at all: the historical dispatch path,
-        bit-identical to pre-AQM builds.
-    aqm_shared:
-        For the two-driver topologies (``split``/``splitfarm``): share a
-        single window across both drivers instead of one each.  Ignored
-        by single-server policies.
-    """
-
-    cmin: float
-    delta_c: float
-    delta: float
-    record_rates: float | None = None
-    metrics: MetricsRegistry | None = None
-    sample_interval: float | None = None
-    engine: str | None = None
-    admission: str = "count"
-    aqm: str | None = None
-    aqm_shared: bool = False
-
-    def __post_init__(self) -> None:
-        if self.cmin <= 0 or self.delta_c < 0 or self.delta <= 0:
-            raise ConfigurationError(
-                f"bad configuration: cmin={self.cmin}, "
-                f"delta_c={self.delta_c}, delta={self.delta}"
-            )
-        if self.admission not in ("count", "work"):
-            raise ConfigurationError(
-                f"unknown admission mode {self.admission!r}; "
-                "choose from ['count', 'work']"
-            )
-        if self.aqm is not None and self.aqm not in AQM_POLICIES:
-            raise ConfigurationError(
-                f"unknown aqm window policy {self.aqm!r}; "
-                f"choose from {sorted(AQM_POLICIES)} or None"
-            )
-        if self.aqm_shared and self.aqm is None:
-            raise ConfigurationError("aqm_shared requires an aqm policy")
-
-    def with_engine(self, engine: str | None) -> "RunConfig":
-        """A copy selecting a different execution engine."""
-        return replace(self, engine=engine)
 
 
 @dataclass(frozen=True)
@@ -221,33 +138,25 @@ def run_policy(
     cmin: float | None = None,
     delta_c: float | None = None,
     delta: float | None = None,
-    record_rates: float | None = None,
-    metrics: MetricsRegistry | None = None,
-    sample_interval: float | None = None,
-    engine: str | None = None,
+    *,
     config: RunConfig | None = None,
 ) -> PolicyRunResult:
     """Simulate serving ``workload`` under ``policy`` and collect stats.
 
-    The preferred call shape is ``run_policy(workload, policy,
-    config=RunConfig(...))``; the flat ``cmin``/``delta_c``/``delta``
-    positional form is kept for compatibility, and the flat
-    observability/engine keywords (``record_rates``, ``metrics``,
-    ``sample_interval``, ``engine``) are a deprecated shim over the
-    equivalent :class:`RunConfig` fields.
+    Call as ``run_policy(workload, policy, config=RunConfig(...))``; the
+    flat ``cmin``/``delta_c``/``delta`` positional form is shorthand for
+    ``RunConfig(cmin, delta_c, delta)``.  Observability, rate recording,
+    engine selection, admission mode and the device window are
+    :class:`RunConfig` fields.
 
-    Capacity allocation follows Section 4.3: the total provisioned
-    capacity is always ``cmin + delta_c``.  FCFS uses all of it on the
-    unpartitioned stream; Split dedicates ``cmin`` to ``Q1`` and
-    ``delta_c`` to ``Q2`` on separate servers; FairQueue/WF²Q/Miser share
-    a single ``cmin + delta_c`` server between the classes.
+    The stack comes from :func:`repro.stack.build_stack` (capacity
+    allocation per Section 4.3).  ``config.metrics`` threads a registry
+    through the driver(s) and scheduler; ``config.sample_interval``
+    additionally installs a periodic :class:`~repro.obs.sampler.Sampler`
+    with the standard probe set.  Either one populates
+    ``PolicyRunResult.telemetry``.
 
-    Passing ``metrics`` threads a registry through the driver(s) and
-    scheduler; ``sample_interval`` additionally installs a periodic
-    :class:`~repro.obs.sampler.Sampler` with the standard probe set.
-    Either one populates ``PolicyRunResult.telemetry``.
-
-    ``engine`` overrides the execution-engine selection of
+    ``config.engine`` overrides the execution-engine selection of
     :mod:`repro.perf.engines` for this call: ``"scalar"`` forces the
     event loop, ``"batch"`` demands the columnar fast path (an error if
     the configuration is ineligible), and ``"auto"`` (the process
@@ -257,43 +166,18 @@ def run_policy(
     :func:`repro.check.differential.engine_parity`).
     """
     if config is not None:
-        flat = (cmin, delta_c, delta, record_rates, metrics, sample_interval, engine)
-        if any(value is not None for value in flat):
+        if any(value is not None for value in (cmin, delta_c, delta)):
             raise ConfigurationError(
-                "pass either config=RunConfig(...) or the flat keyword "
-                "arguments, not both"
+                "pass either config=RunConfig(...) or the flat capacities, "
+                "not both"
             )
-    else:
-        if cmin is None or delta_c is None or delta is None:
-            raise ConfigurationError(
-                "run_policy needs cmin, delta_c, and delta "
-                "(directly or via config=RunConfig(...))"
-            )
-        if any(
-            value is not None
-            for value in (record_rates, metrics, sample_interval, engine)
-        ):
-            warnings.warn(
-                "passing record_rates/metrics/sample_interval/engine directly "
-                "to run_policy is deprecated; use config=RunConfig(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        config = RunConfig(
-            cmin=cmin,
-            delta_c=delta_c,
-            delta=delta,
-            record_rates=record_rates,
-            metrics=metrics,
-            sample_interval=sample_interval,
-            engine=engine,
+    elif cmin is None or delta_c is None or delta is None:
+        raise ConfigurationError(
+            "run_policy needs cmin, delta_c, and delta "
+            "(directly or via config=RunConfig(...))"
         )
-    return _run_policy(workload, policy, config)
-
-
-def _run_policy(
-    workload: Workload, policy: str, config: RunConfig
-) -> PolicyRunResult:
+    else:
+        config = RunConfig(cmin, delta_c, delta)
     cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
     # Resolve the effective window policy (aqm= argument, Registry
     # override, or REPRO_AQM) once, so engine eligibility, the armed
@@ -321,60 +205,16 @@ def _run_policy(
     metrics = config.metrics
     sample_interval = config.sample_interval
     sim = Simulator()
-    if policy == "split":
-        if config.record_rates is not None:
-            raise ConfigurationError("rate recording is single-server only")
-        system = SplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            metrics=metrics,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
-        )
-        sink = system
-    elif policy == "splitfarm":
-        if config.record_rates is not None:
-            raise ConfigurationError("rate recording is single-server only")
-        system = SizeSplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            metrics=metrics,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
-        )
-        sink = system
-    elif policy in SINGLE_SERVER_POLICIES:
-        scheduler = make_scheduler(
-            policy, cmin, delta_c, delta, admission=config.admission
-        )
-        server = constant_rate_server(sim, cmin + delta_c, name=policy)
-        system = DeviceDriver(
-            sim,
-            server,
-            scheduler,
-            record_rates=config.record_rates,
-            metrics=metrics,
-            window=make_window(aqm, delta),
-        )
-        sink = system
-    else:
-        raise ConfigurationError(f"unknown policy {policy!r}")
-
+    system = build_stack(sim, policy, config)
     sampler: Sampler | None = None
     if sample_interval is not None:
-        sampler = Sampler(sim, sample_interval)
-        attach_standard_probes(sampler, system)
         # Periodic ticks cover the arrival window; the drain tail past
         # ``duration`` is captured by the final snapshot below.
-        sampler.install(until=workload.duration)
+        sampler, _ = attach_sampler(
+            sim, system, sample_interval, until=workload.duration
+        )
 
-    source = WorkloadSource(sim, workload, sink)
+    source = WorkloadSource(sim, workload, system)
     source.start()
     sim.run()
     if sampler is not None:
@@ -403,23 +243,15 @@ def _run_policy(
             f"{policy}: {len(completed)} of {len(workload)} requests completed"
         )
     by_class = system.by_class
-    if policy == "fcfs":
-        primary = ResponseTimeCollector("Q1")
-        overflow = ResponseTimeCollector("Q2")
-        overall = system.overall
-    else:
-        primary = by_class[QoSClass.PRIMARY]
-        overflow = by_class[QoSClass.OVERFLOW]
-        overall = system.overall
     return PolicyRunResult(
         policy=policy,
         workload_name=workload.name,
         cmin=cmin,
         delta_c=delta_c,
         delta=delta,
-        overall=overall,
-        primary=primary,
-        overflow=overflow,
+        overall=system.overall,
+        primary=by_class[QoSClass.PRIMARY],
+        overflow=by_class[QoSClass.OVERFLOW],
         primary_misses=system.primary_deadline_misses(),
         completion_series=(
             system.completion_rates.series()

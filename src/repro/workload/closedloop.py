@@ -18,19 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.request import QoSClass, Request
+from ..core.request import QoSClass
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
-from ..sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
-from ..server.aqm import make_window, resolve_aqm
-from ..server.cluster import SplitSystem
-from ..server.constant_rate import constant_rate_server
-from ..server.sizesplit import SizeSplitSystem
-from ..server.driver import DeviceDriver
-from ..shaping import RunConfig
 from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopSource
 from ..sim.stats import ResponseTimeCollector
+from ..stack import RunConfig, build_stack
 
 
 @dataclass(frozen=True)
@@ -119,39 +113,8 @@ def run_closed_loop(
             "closed-loop runs do not support observability options; "
             "use a plain RunConfig(cmin, delta_c, delta)"
         )
-    cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
-    aqm = resolve_aqm(config.aqm)
     sim = Simulator()
-    if policy == "split":
-        system = SplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
-        )
-    elif policy == "splitfarm":
-        system = SizeSplitSystem(
-            sim,
-            cmin,
-            delta_c,
-            delta,
-            admission=config.admission,
-            aqm=aqm,
-            aqm_shared=config.aqm_shared,
-        )
-    elif policy in SINGLE_SERVER_POLICIES:
-        scheduler = make_scheduler(
-            policy, cmin, delta_c, delta, admission=config.admission
-        )
-        server = constant_rate_server(sim, cmin + delta_c, name=policy)
-        system = DeviceDriver(
-            sim, server, scheduler, window=make_window(aqm, delta)
-        )
-    else:
-        raise ConfigurationError(f"unknown policy {policy!r}")
+    system = build_stack(sim, policy, config)
 
     sampler = None
     if demand_sampler is not None:
@@ -175,12 +138,6 @@ def run_closed_loop(
             f"submitted but ledger accounts {sum(ledger.values())}"
         )
     by_class = system.by_class
-    if policy == "fcfs":
-        primary = ResponseTimeCollector("Q1")
-        overflow = ResponseTimeCollector("Q2")
-    else:
-        primary = by_class[QoSClass.PRIMARY]
-        overflow = by_class[QoSClass.OVERFLOW]
     return ClosedLoopResult(
         policy=policy,
         n_users=n_users,
@@ -188,8 +145,8 @@ def run_closed_loop(
         horizon=horizon,
         submitted=source.requests,
         overall=system.overall,
-        primary=primary,
-        overflow=overflow,
+        primary=by_class[QoSClass.PRIMARY],
+        overflow=by_class[QoSClass.OVERFLOW],
         primary_misses=system.primary_deadline_misses(),
         ledger=ledger,
     )

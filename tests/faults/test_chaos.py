@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.workload import Workload
 from repro.exceptions import SimulationError
+from repro.sched.registry import ALL_POLICIES
 from repro.faults import (
     RESILIENCE_POLICIES,
     check_conservation,
@@ -150,18 +151,26 @@ class TestDeterminism:
 
 
 class TestHealthyPathIdentical:
-    @pytest.mark.parametrize("policy", RESILIENCE_POLICIES)
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_bit_identical_to_run_policy(self, workload, policy):
-        """No faults, no retry, no controller: the resilient stack must
+        """No faults, no retry, no controller: the resilient stack — and
+        the fault-armed serving plane with an empty schedule — must
         reproduce run_policy's response times exactly."""
+        from repro.faults import FaultSchedule
+        from repro.serve import ServiceHarness
         from repro.shaping import run_policy
 
         plain = run_policy(workload, policy, CMIN, DELTA_C, DELTA)
         resilient = run_resilient(workload, policy, CMIN, DELTA_C, DELTA)
-        assert list(plain.overall.samples) == list(resilient.overall.samples)
-        assert plain.primary_misses == resilient.primary_misses
-        assert list(plain.primary.samples) == list(resilient.primary.samples)
-        assert list(plain.overflow.samples) == list(resilient.overflow.samples)
+        served = ServiceHarness(
+            policy, CMIN, DELTA_C, DELTA, faults=FaultSchedule()
+        ).replay(workload, chunks=3)
+        for other in (resilient, served):
+            assert list(plain.overall.samples) == list(other.overall.samples)
+            assert plain.primary_misses == other.primary_misses
+            assert list(plain.primary.samples) == list(other.primary.samples)
+            assert list(plain.overflow.samples) == list(other.overflow.samples)
+        assert not served.violations
 
 
 class TestMissCounterAgreement:

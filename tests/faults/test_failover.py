@@ -74,12 +74,9 @@ class TestFaultableFarm:
 
 class TestSplitFailover:
     def _system(self, sim, retry=None):
-        def factory(sim_, capacity, name):
-            return FaultableServer(sim_, ConstantRateModel(capacity), name=name)
-
         return SplitSystem(
             sim, cmin=10.0, delta_c=5.0, delta=0.5,
-            server_factory=factory, retry=retry,
+            unit_factory=FaultableServer, retry=retry,
         )
 
     def test_primary_down_fails_over_demoted(self):

@@ -9,7 +9,7 @@ every tick, and the final counters match the result's totals.
 import pytest
 
 from repro.obs import MetricsRegistry, depth_reconciles, read_jsonl
-from repro.shaping import run_policy
+from repro.shaping import RunConfig, run_policy
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +24,9 @@ def run_observed(workload, policy, delta_c=25.0):
     result = run_policy(
         workload,
         policy,
-        cmin=120.0,
-        delta_c=delta_c,
-        delta=0.05,
-        metrics=registry,
-        sample_interval=0.25,
+        config=RunConfig(
+            120.0, delta_c, 0.05, metrics=registry, sample_interval=0.25
+        ),
     )
     return registry, result
 
@@ -154,12 +152,7 @@ class TestUnobservedRuns:
 
     def test_sampling_without_registry(self, workload):
         result = run_policy(
-            workload,
-            "miser",
-            cmin=120.0,
-            delta_c=25.0,
-            delta=0.05,
-            sample_interval=0.5,
+            workload, "miser", config=RunConfig(120.0, 25.0, 0.05, sample_interval=0.5)
         )
         telemetry = result.telemetry
         assert telemetry is not None

@@ -1,4 +1,4 @@
-"""Tests for RunConfig, the run_policy shim, and size-aware runs."""
+"""Tests for RunConfig, run_policy's call shapes, and size-aware runs."""
 
 import numpy as np
 import pytest
@@ -53,12 +53,19 @@ class TestRunPolicyShim:
         with pytest.raises(ConfigurationError, match="needs cmin"):
             run_policy(workload, "split", 3.0, 2.0)
 
-    def test_flat_observability_kwargs_deprecated_but_working(self, workload):
+    @pytest.mark.parametrize(
+        "keyword", ["record_rates", "metrics", "sample_interval", "engine"]
+    )
+    def test_flat_observability_kwargs_removed(self, workload, keyword):
+        """The flat keywords are RunConfig fields now, not run_policy's."""
+        with pytest.raises(TypeError, match=keyword):
+            run_policy(workload, "miser", 3.0, 2.0, 0.5, **{keyword: None})
+
+    def test_observability_via_config(self, workload):
         registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            result = run_policy(
-                workload, "miser", 3.0, 2.0, 0.5, metrics=registry
-            )
+        result = run_policy(
+            workload, "miser", config=RunConfig(3.0, 2.0, 0.5, metrics=registry)
+        )
         assert result.telemetry is not None
         assert len(result.overall) == len(workload)
 

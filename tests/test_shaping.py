@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.capacity import CapacityPlanner
 from repro.exceptions import ConfigurationError
-from repro.shaping import PolicyRunResult, WorkloadShaper, run_policy
+from repro.shaping import PolicyRunResult, RunConfig, WorkloadShaper, run_policy
 
 POLICIES = ("fcfs", "split", "fairqueue", "wf2q", "miser")
 
@@ -68,7 +68,9 @@ class TestRunPolicy:
 
     def test_rate_recording(self, workload, plan):
         result = run_policy(
-            workload, "miser", plan.cmin, plan.delta_c, plan.delta, record_rates=1.0
+            workload,
+            "miser",
+            config=RunConfig(plan.cmin, plan.delta_c, plan.delta, record_rates=1.0),
         )
         starts, rates = result.completion_series
         assert rates.sum() * 1.0 == pytest.approx(len(workload))
@@ -76,8 +78,9 @@ class TestRunPolicy:
     def test_rate_recording_rejected_for_split(self, workload, plan):
         with pytest.raises(ConfigurationError, match="single-server"):
             run_policy(
-                workload, "split", plan.cmin, plan.delta_c, plan.delta,
-                record_rates=1.0,
+                workload,
+                "split",
+                config=RunConfig(plan.cmin, plan.delta_c, plan.delta, record_rates=1.0),
             )
 
     def test_unknown_policy(self, workload, plan):
@@ -169,11 +172,9 @@ class TestRunTelemetry:
         result = run_policy(
             workload,
             "miser",
-            plan.cmin,
-            plan.delta_c,
-            0.1,
-            metrics=registry,
-            sample_interval=1.0,
+            config=RunConfig(
+                plan.cmin, plan.delta_c, 0.1, metrics=registry, sample_interval=1.0
+            ),
         )
         telemetry = result.telemetry
         assert telemetry is not None
