@@ -188,11 +188,12 @@ def test_bufferbloat_headline(quick_report):
             ), (scenario, managed)
 
 
-def test_adaptive_windows_squeeze(quick_report):
+@pytest.mark.parametrize("scenario", ["open", "closed"])
+def test_adaptive_windows_squeeze(quick_report, scenario):
     for aqm in ("codel", "adaptive"):
-        cell = _cell(quick_report, aqm, "open")
-        assert cell["squeezes"] > 0
-        assert 0 < cell["window_depth"] < 64
+        cell = _cell(quick_report, aqm, scenario)
+        assert cell["squeezes"] > 0, aqm
+        assert 0 < cell["window_depth"] < 64, aqm
 
 
 def test_committed_report_schema():

@@ -172,9 +172,9 @@ def _invariant_audit(duration: float) -> list[str]:
             tailbakeoff.DELTA,
         )
         problems.extend(str(v) for v in run.violations)
-        if run.completed != run.expected:
+        if not run.conserved():
             problems.append(
-                f"{policy}: completed {run.completed} of {run.expected}"
+                f"{policy}: completed {len(run.completed)} of {run.n_arrivals}"
             )
     return problems
 

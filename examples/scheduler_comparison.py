@@ -45,7 +45,7 @@ def main(duration: float = 120.0) -> None:
     )
     rows = []
     for policy, result in results.items():
-        bins = result.binned_fractions(list(EDGES))
+        bins = result.overall.binned_fractions(list(EDGES))
         rows.append(
             [policy]
             + [f"{v:.1%}" for v in bins.values()]

@@ -24,8 +24,8 @@ from .core.sla import GraduatedSLA
 from .core.workload import Workload
 from .exceptions import ReproError
 from .serve import AdmissionService, Autoscaler, AutoscalerConfig, ServiceHarness
+from .record import RunRecord
 from .shaping import (
-    PolicyRunResult,
     RunConfig,
     ShapingOutcome,
     WorkloadShaper,
@@ -48,8 +48,8 @@ __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
     "ServiceHarness",
-    "PolicyRunResult",
     "RunConfig",
+    "RunRecord",
     "ShapingOutcome",
     "WorkloadShaper",
     "run_policy",

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from ..core.capacity import CapacityPlanner
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError
-from ..shaping import PolicyRunResult, run_policy
+from ..record import RunRecord
+from ..shaping import run_policy
 from .reporting import format_table
 
 #: Default bins in seconds, matching Figure 6.
@@ -31,10 +32,10 @@ class PolicyComparison:
     fraction: float
     cmin: float
     delta_c: float
-    runs: dict  # policy -> PolicyRunResult
+    runs: dict  # policy -> RunRecord
     edges: tuple
 
-    def run(self, policy: str) -> PolicyRunResult:
+    def run(self, policy: str) -> RunRecord:
         return self.runs[policy]
 
     def ranking(self, bound: float | None = None) -> list[str]:
@@ -91,7 +92,7 @@ def render(comparison: PolicyComparison) -> str:
     )
     rows = []
     for policy, result in comparison.runs.items():
-        bins = result.binned_fractions(list(comparison.edges))
+        bins = result.overall.binned_fractions(list(comparison.edges))
         rows.append(
             [policy]
             + [f"{v:.1%}" for v in bins.values()]

@@ -15,6 +15,7 @@ Four pillars, each importable on its own:
 See ``docs/verification.md`` for the construction and how to extend it.
 """
 
+from ..record import ParityReport, compare_records
 from .corpus import (
     CorpusReport,
     GoldenTrace,
@@ -25,9 +26,7 @@ from .corpus import (
     replay_golden,
 )
 from .differential import (
-    CheckedRun,
     DifferentialReport,
-    EngineParityReport,
     KernelParityReport,
     decomposition_cross_check,
     differential_policies,
@@ -63,10 +62,9 @@ __all__ = [
     "record_golden",
     "replay_corpus",
     "replay_golden",
-    "CheckedRun",
     "DifferentialReport",
-    "EngineParityReport",
     "KernelParityReport",
+    "ParityReport",
     "decomposition_cross_check",
     "differential_policies",
     "disk_comparability_check",
@@ -74,6 +72,7 @@ __all__ = [
     "fcfs_lindley_check",
     "kernel_parity",
     "run_checked",
+    "compare_records",
     "Disagreement",
     "FuzzCase",
     "GENERATORS",

@@ -94,55 +94,33 @@ def _run_differential(
     n_cases: int, seed: int, policies: tuple[str, ...]
 ) -> tuple[int, list[str]]:
     lines: list[str] = []
-    status = 0
-    problems = 0
     for index in range(n_cases):
         generator = GENERATORS[index % len(GENERATORS)]
         case = make_case(generator, seed, index, max_requests=120)
         workload = case.workload()
-        parity = kernel_parity(workload, case.capacity, case.delta)
-        if not parity.ok:
-            status = 1
-            problems += 1
-            lines.append(parity.summary())
-        for problem in fcfs_lindley_check(workload, case.capacity):
-            status = 1
-            problems += 1
-            lines.append(problem)
-        engines = engine_parity(
-            workload, case.capacity, max(1.0, case.capacity / 2), case.delta
-        )
-        if not engines.ok:
-            status = 1
-            problems += 1
-            lines.append(engines.summary())
+        capacity, delta = case.capacity, case.delta
+        delta_c = max(1.0, capacity / 2)
+        kernels = kernel_parity(workload, capacity, delta)
+        lindley = fcfs_lindley_check(workload, capacity)
+        engines = engine_parity(workload, capacity, delta_c, delta)
         report = differential_policies(
-            workload, case.capacity, max(1.0, case.capacity / 2), case.delta,
-            policies=policies,
+            workload, capacity, delta_c, delta, policies=policies
         )
-        if not report.ok:
-            status = 1
-            problems += 1
-            lines.append(report.summary())
         # Serve-vs-simulate parity: one policy per case, rotating through
         # the full set so N >= len(policies) covers every policy.
-        serve_policy = DEFAULT_POLICIES[index % len(DEFAULT_POLICIES)]
         serving = serve_parity(
-            workload, case.capacity, max(1.0, case.capacity / 2), case.delta,
-            policies=(serve_policy,),
+            workload, capacity, delta_c, delta,
+            policies=(DEFAULT_POLICIES[index % len(DEFAULT_POLICIES)],),
         )
-        if not serving.ok:
-            status = 1
-            problems += 1
-            lines.append(serving.summary())
-    if status == 0:
-        lines.append(
+        lines += [kernels.summary()] if not kernels.ok else []
+        lines += lindley
+        lines += [r.summary() for r in (engines, report, serving) if not r.ok]
+    if not lines:
+        return 0, [
             f"differential OK: {n_cases} traces x {len(policies)} policies, "
             "kernels, engines, serve harness and invariants agree"
-        )
-    else:
-        lines.insert(0, f"differential FAILED: {problems} problem(s)")
-    return status, lines
+        ]
+    return 1, [f"differential FAILED: {len(lines)} problem(s)"] + lines
 
 
 def _run_serve_parity(directory: Path) -> tuple[int, list[str]]:

@@ -112,13 +112,13 @@ def compute_expectations(
         if violations is not None:
             violations.extend(str(v) for v in run.violations)
         expect["policies"][policy] = {
-            "completed": run.completed,
-            "primary_completed": run.primary_completed,
-            "overflow_completed": run.overflow_completed,
+            "completed": len(run.completed),
+            "primary_completed": len(run.primary),
+            "overflow_completed": len(run.overflow),
             "primary_misses": run.primary_misses,
-            "fraction_within": run.fraction_within,
-            "mean_response": run.mean_response,
-            "p99_response": run.p99_response,
+            "fraction_within": run.fraction_within(),
+            "mean_response": run.overall.stats.mean,
+            "p99_response": run.overall.percentile(99),
         }
     return expect
 

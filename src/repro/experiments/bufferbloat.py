@@ -37,6 +37,7 @@ import numpy as np
 from ..analysis.reporting import format_table
 from ..core.workload import Workload
 from ..faults.harness import run_chaos
+from ..record import RunRecord
 from ..shaping import RunConfig, run_policy
 from ..workload.closedloop import run_closed_loop
 from .common import ExperimentConfig
@@ -100,7 +101,7 @@ class BloatCell:
     fraction_within: float
     p99: float
     conserved: bool
-    #: Final window depth (-1 = unbounded, 0 = no window / not surfaced).
+    #: Final window depth (-1 = unbounded, 0 = no window).
     window_depth: int
     squeezes: int
     gated: int
@@ -134,87 +135,50 @@ def _window_stats(snapshot: dict | None) -> tuple[int, int, int]:
     )
 
 
+def _cell(aqm: str, scenario: str, record: RunRecord) -> BloatCell:
+    depth, squeezes, gated = _window_stats(record.window)
+    return BloatCell(
+        aqm=aqm,
+        scenario=scenario,
+        completed=record.ledger["completed"],
+        q1_completed=len(record.primary),
+        primary_misses=record.primary_misses,
+        fraction_within=record.fraction_within(DELTA),
+        p99=record.overall.percentile_exact(99),
+        conserved=record.conserved(),
+        window_depth=depth,
+        squeezes=squeezes,
+        gated=gated,
+    )
+
+
 def run(config: ExperimentConfig | None = None) -> BufferbloatResult:
     config = config or ExperimentConfig()
     workload = bloat_workload(config.duration, seed=7 + config.seed_offset)
     cells = []
     for aqm in AQMS:
         label = aqm or "none"
-
-        open_run = run_policy(
-            workload, POLICY, config=RunConfig(CMIN, DELTA_C, DELTA, aqm=aqm)
-        )
-        depth, squeezes, gated = _window_stats(open_run.window)
-        cells.append(
-            BloatCell(
-                aqm=label,
-                scenario="open",
-                completed=len(open_run.overall),
-                q1_completed=len(open_run.primary),
-                primary_misses=open_run.primary_misses,
-                fraction_within=open_run.overall.fraction_within(DELTA),
-                p99=open_run.overall.percentile_exact(99),
-                conserved=len(open_run.overall) == len(workload),
-                window_depth=depth,
-                squeezes=squeezes,
-                gated=gated,
-            )
-        )
-
-        closed = run_closed_loop(
-            POLICY,
-            RunConfig(CMIN, DELTA_C, DELTA, aqm=aqm),
-            n_users=CLOSED_USERS,
-            think_time=CLOSED_THINK,
-            horizon=config.duration,
-            seed=37 + config.seed_offset,
-        )
-        cells.append(
-            BloatCell(
-                aqm=label,
-                scenario="closed",
-                completed=len(closed.overall),
-                q1_completed=len(closed.primary),
-                primary_misses=closed.primary_misses,
-                fraction_within=closed.overall.fraction_within(DELTA),
-                p99=closed.overall.percentile_exact(99),
-                conserved=closed.conserved()
-                and closed.ledger.get("window", 0) == 0,
-                window_depth=0,  # snapshot not surfaced by the closed loop
-                squeezes=0,
-                gated=0,
-            )
-        )
-
-        chaos = run_chaos(
-            workload,
-            POLICY,
-            CMIN,
-            DELTA_C,
-            DELTA,
-            seed=41 + config.seed_offset,
-            aqm=aqm,
-        )
-        depth, squeezes, gated = _window_stats(chaos.window)
-        accounted = (
-            len(chaos.completed) + len(chaos.dropped) + len(chaos.shed)
-        )
-        cells.append(
-            BloatCell(
-                aqm=label,
-                scenario="chaos",
-                completed=len(chaos.completed),
-                q1_completed=len(chaos.primary),
-                primary_misses=chaos.primary_misses,
-                fraction_within=chaos.overall.fraction_within(DELTA),
-                p99=chaos.overall.percentile_exact(99),
-                conserved=chaos.conservation.ok
-                and accounted == len(workload),
-                window_depth=depth,
-                squeezes=squeezes,
-                gated=gated,
-            )
-        )
+        stack = RunConfig(CMIN, DELTA_C, DELTA, aqm=aqm)
+        cells += [
+            _cell(label, "open", run_policy(workload, POLICY, config=stack)),
+            _cell(label, "closed", run_closed_loop(
+                POLICY,
+                stack,
+                n_users=CLOSED_USERS,
+                think_time=CLOSED_THINK,
+                horizon=config.duration,
+                seed=37 + config.seed_offset,
+            )),
+            _cell(label, "chaos", run_chaos(
+                workload,
+                POLICY,
+                CMIN,
+                DELTA_C,
+                DELTA,
+                seed=41 + config.seed_offset,
+                aqm=aqm,
+            )),
+        ]
     return BufferbloatResult(
         cells=cells,
         n_requests=len(workload),

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from ..analysis.reporting import format_table
 from ..core.capacity import CapacityPlanner
-from ..shaping import PolicyRunResult, run_policy
+from ..record import RunRecord
+from ..shaping import run_policy
 from ..units import ms, to_ms
 from .common import FIGURE6_EDGES, ExperimentConfig
 
@@ -37,10 +38,10 @@ class Figure6Panel:
     delta: float
     cmin: float
     delta_c: float
-    runs: dict  # policy -> PolicyRunResult
+    runs: dict  # policy -> RunRecord
 
     def bins(self, policy: str) -> dict:
-        return self.runs[policy].binned_fractions(list(FIGURE6_EDGES))
+        return self.runs[policy].overall.binned_fractions(list(FIGURE6_EDGES))
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Figure6Result:
         raise KeyError(fraction)
 
 
-def _overflow_ratio(miser: PolicyRunResult, fair: PolicyRunResult) -> tuple:
+def _overflow_ratio(miser: RunRecord, fair: RunRecord) -> tuple:
     fair_mean = fair.overflow.stats.mean
     fair_max = fair.overflow.stats.max
     if len(miser.overflow) == 0 or len(fair.overflow) == 0:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from ..analysis.reporting import format_table
 from ..faults import RESILIENCE_POLICIES, run_chaos, run_resilient
+from ..record import RunRecord
 from ..shaping import WorkloadShaper
 from ..units import ms
 from .common import ExperimentConfig
@@ -80,6 +81,13 @@ class ResilienceResult:
     cells: list
 
 
+def _q1(record: RunRecord) -> float:
+    # Classifier-free FCFS has no Q1: report its within-deadline fraction.
+    if record.policy == "fcfs":
+        return record.fraction_within()
+    return record.q1_compliance()
+
+
 def run(config: ExperimentConfig | None = None) -> ResilienceResult:
     config = config or ExperimentConfig()
     workload = config.workload(WORKLOAD)
@@ -103,16 +111,8 @@ def run(config: ExperimentConfig | None = None) -> ResilienceResult:
         cells.append(
             ResilienceCell(
                 policy=policy,
-                healthy_q1=(
-                    healthy.fraction_within()
-                    if policy == "fcfs"
-                    else healthy.q1_compliance()
-                ),
-                chaos_q1=(
-                    chaos.fraction_within()
-                    if policy == "fcfs"
-                    else chaos.q1_compliance()
-                ),
+                healthy_q1=_q1(healthy),
+                chaos_q1=_q1(chaos),
                 post_fault_q1=chaos.q1_compliance_after(chaos.schedule.last_clear),
                 completed=len(chaos.completed),
                 dropped=len(chaos.dropped),

@@ -25,10 +25,11 @@ import math
 from dataclasses import dataclass
 
 from ..analysis.reporting import format_table
-from ..check.differential import ServeParityReport, serve_parity
+from ..check.differential import serve_parity
 from ..faults import run_resilient
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import random_schedule
+from ..record import ParityReport
 from ..serve import AutoscalerConfig, ServiceHarness
 from ..shaping import WorkloadShaper
 from ..units import ms
@@ -77,7 +78,7 @@ class ServeResult:
     workload_name: str
     cmin: float
     delta_c: float
-    parity: ServeParityReport
+    parity: ParityReport
     chaos: ChaosComparison
     #: (epochs, actuation-worthy epochs, recommended Cmin) in shadow mode.
     scaler_epochs: int

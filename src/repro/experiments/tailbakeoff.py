@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from ..analysis.reporting import format_table
 from ..faults.harness import run_chaos
+from ..record import RunRecord
 from ..sched.registry import ALL_POLICIES
 from ..shaping import RunConfig, WorkloadShaper, run_policy
 from ..workload import BimodalDemand, UserPopulation, poisson_poisson_workload
@@ -78,17 +79,18 @@ class TailBakeoffResult:
     policies: tuple
 
 
-def _cell(policy: str, scenario: str, overall, misses: int, expected: int) -> TailCell:
+def _cell(policy: str, scenario: str, record: RunRecord) -> TailCell:
+    overall = record.overall
     return TailCell(
         policy=policy,
         scenario=scenario,
-        completed=len(overall),
-        primary_misses=misses,
-        fraction_within=overall.fraction_within(DELTA),
+        completed=record.ledger["completed"],
+        primary_misses=record.primary_misses,
+        fraction_within=record.fraction_within(DELTA),
         p50=overall.percentile_exact(50),
         p99=overall.percentile_exact(99),
         p999=overall.percentile_exact(99.9),
-        conserved=len(overall) == expected,
+        conserved=record.conserved(),
     )
 
 
@@ -108,59 +110,25 @@ def run(config: ExperimentConfig | None = None) -> TailBakeoffResult:
     scale = workload.total_work / len(workload) if len(workload) else 1.0
     cmin = plan.cmin * scale
     delta_c = plan.delta_c * scale
+    stack = RunConfig(cmin, delta_c, DELTA)
     cells = []
     for policy in ALL_POLICIES:
-        open_run = run_policy(
-            workload, policy, config=RunConfig(cmin, delta_c, DELTA)
-        )
-        cells.append(
-            _cell(policy, "open", open_run.overall,
-                  open_run.primary_misses, len(workload))
-        )
-        closed = run_closed_loop(
-            policy,
-            RunConfig(cmin, delta_c, DELTA),
-            n_users=CLOSED_USERS,
-            think_time=CLOSED_THINK,
-            horizon=config.duration,
-            seed=37 + config.seed_offset,
-            demand_sampler=DEMANDS,
-        )
-        cells.append(
-            TailCell(
-                policy=policy,
-                scenario="closed",
-                completed=len(closed.overall),
-                primary_misses=closed.primary_misses,
-                fraction_within=closed.overall.fraction_within(DELTA),
-                p50=closed.overall.percentile_exact(50),
-                p99=closed.overall.percentile_exact(99),
-                p999=closed.overall.percentile_exact(99.9),
-                conserved=closed.conserved(),
-            )
-        )
-        chaos = run_chaos(
-            workload, policy, cmin, delta_c, DELTA,
-            seed=41 + config.seed_offset,
-        )
-        ledger = {
-            "completed": len(chaos.completed),
-            "dropped": len(chaos.dropped),
-            "shed": len(chaos.shed),
-        }
-        cells.append(
-            TailCell(
-                policy=policy,
-                scenario="chaos",
-                completed=ledger["completed"],
-                primary_misses=chaos.primary_misses,
-                fraction_within=chaos.overall.fraction_within(DELTA),
-                p50=chaos.overall.percentile_exact(50),
-                p99=chaos.overall.percentile_exact(99),
-                p999=chaos.overall.percentile_exact(99.9),
-                conserved=sum(ledger.values()) == len(workload),
-            )
-        )
+        cells += [
+            _cell(policy, "open", run_policy(workload, policy, config=stack)),
+            _cell(policy, "closed", run_closed_loop(
+                policy,
+                stack,
+                n_users=CLOSED_USERS,
+                think_time=CLOSED_THINK,
+                horizon=config.duration,
+                seed=37 + config.seed_offset,
+                demand_sampler=DEMANDS,
+            )),
+            _cell(policy, "chaos", run_chaos(
+                workload, policy, cmin, delta_c, DELTA,
+                seed=41 + config.seed_offset,
+            )),
+        ]
     demands = workload.demands()
     return TailBakeoffResult(
         cells=cells,

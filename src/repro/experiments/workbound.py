@@ -88,9 +88,8 @@ def run(config: ExperimentConfig | None = None) -> WorkboundResult:
                     plan.cmin, plan.delta_c, DELTA, admission=admission
                 ),
             )
-            conserved = len(result.overall) == len(workload) and (
-                len(result.primary) + len(result.overflow)
-                == len(result.overall)
+            conserved = result.conserved() and (
+                len(result.primary) + len(result.overflow) == len(result.overall)
             )
             cells.append(
                 AdmissionCell(

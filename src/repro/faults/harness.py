@@ -25,100 +25,21 @@ the full resilient stack — the unit of the chaos suite in CI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..core.request import QoSClass
 from ..core.workload import Workload
 from ..obs.registry import MetricsRegistry
 from ..sched.registry import CLASSIFIER_FREE_POLICIES
-from ..server.aqm import resolve_aqm
+from ..record import RunRecord
 from ..sim.engine import Simulator
 from ..sim.source import WorkloadSource
-from ..sim.stats import ResponseTimeCollector
 from ..stack import FaultPlan, RunConfig, attach_sampler, build_stack, require_adaptable
 from .controller import ControllerConfig
-from .invariants import ConservationReport, assert_conservation
+from .invariants import assert_conservation
 from .retry import RetryPolicy
 from .schedule import FaultSchedule, random_schedule
 
 #: Policies the resilience experiment compares (the paper's four
 #: recombiners; the classifier-free FCFS baseline cannot adapt).
 RESILIENCE_POLICIES = ("fcfs", "split", "fairqueue", "miser")
-
-
-class FaultRunViews:
-    """Compliance views shared by the fault-capable run results.
-
-    Mixed into :class:`ResilientRunResult` and
-    :class:`repro.serve.harness.ServeRunResult`; needs ``delta``,
-    ``overall``, ``primary``, ``primary_misses`` and ``completed``.
-    """
-
-    def fraction_within(self, bound: float | None = None) -> float:
-        return self.overall.fraction_within(self.delta if bound is None else bound)
-
-    def q1_compliance(self) -> float:
-        """Deadline compliance over every completed primary request."""
-        total = len(self.primary)
-        if total == 0:
-            return float("nan")
-        return 1.0 - self.primary_misses / total
-
-    def q1_compliance_after(self, instant: float) -> float:
-        """Q1 deadline compliance among arrivals after ``instant``.
-
-        The chaos acceptance metric: evaluated at ``schedule.last_clear``
-        it measures whether shaping *restored* the guarantee once the
-        faults ended.
-        """
-        done = [
-            r
-            for r in self.completed
-            if r.qos_class is QoSClass.PRIMARY and r.arrival > instant
-        ]
-        if done:
-            return sum(1 for r in done if r.met_deadline) / len(done)
-        if not any(r.qos_class is QoSClass.PRIMARY for r in self.completed):
-            # Classifier-free run (FCFS): fall back to the overall
-            # within-delta fraction over the same post-fault window.
-            late = [r for r in self.completed if r.arrival > instant]
-            if late:
-                return sum(
-                    1 for r in late if r.response_time <= self.delta + 1e-12
-                ) / len(late)
-        return float("nan")
-
-
-@dataclass(frozen=True)
-class ResilientRunResult(FaultRunViews):
-    """Outcome of one fault-injected (or healthy-baseline) run."""
-
-    policy: str
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
-    schedule: FaultSchedule
-    overall: ResponseTimeCollector
-    primary: ResponseTimeCollector
-    overflow: ResponseTimeCollector
-    completed: list = field(repr=False, default_factory=list)
-    dropped: list = field(repr=False, default_factory=list)
-    shed: list = field(repr=False, default_factory=list)
-    primary_misses: int = 0
-    demotions: int = 0
-    failovers: int = 0
-    conservation: ConservationReport | None = None
-    #: Controller stats when adaptive shaping ran (else None).
-    degrades: int | None = None
-    recoveries: int | None = None
-    final_limit: int | None = None
-    samples: list = field(repr=False, default_factory=list)
-    #: AQM window policy the stack ran with (``None`` = no window).
-    aqm: str | None = None
-    #: Final window statistics (``snapshot()`` dict(s)); ``None`` when
-    #: no window was armed.
-    window: dict | None = None
 
 
 def run_resilient(
@@ -137,7 +58,7 @@ def run_resilient(
     metrics: MetricsRegistry | None = None,
     aqm: str | None = None,
     aqm_shared: bool = False,
-) -> ResilientRunResult:
+) -> RunRecord:
     """Serve ``workload`` under ``policy`` on a fault-injected stack.
 
     The stack is :func:`~repro.stack.build_stack`'s for
@@ -160,7 +81,6 @@ def run_resilient(
         cmin, delta_c, delta, metrics=metrics, aqm=aqm, aqm_shared=aqm_shared
     )
     schedule = schedule if schedule is not None else FaultSchedule()
-    aqm = resolve_aqm(aqm)
     sim = Simulator()
     system = build_stack(
         sim, policy, config, FaultPlan(schedule, retry, inflight, seed)
@@ -194,40 +114,25 @@ def run_resilient(
         dropped=system.dropped,
         shed=system.shed,
     )
-    if aqm is not None:
-        residue = system.fault_ledger().get("window", 0)
-        if residue != 0:
-            raise AssertionError(
-                f"{policy}: window not drained at end of run "
-                f"({residue} requests still resident)"
-            )
-
-    by_class = system.by_class
-    classifier = system.classifier
-    return ResilientRunResult(
-        policy=policy,
+    record = RunRecord.from_stack(
+        system,
+        policy,
+        config,
         workload_name=workload.name,
-        cmin=cmin,
-        delta_c=delta_c,
-        delta=delta,
+        n_arrivals=len(source.requests),
         schedule=schedule,
-        overall=system.overall,
-        primary=by_class[QoSClass.PRIMARY],
-        overflow=by_class[QoSClass.OVERFLOW],
-        completed=list(system.completed),
-        dropped=list(system.dropped),
-        shed=list(system.shed),
-        primary_misses=system.primary_deadline_misses(),
-        demotions=system.demotions,
-        failovers=system.failovers,
         conservation=conservation,
         degrades=controller.degrades if controller is not None else None,
         recoveries=controller.recoveries if controller is not None else None,
-        final_limit=classifier.limit if classifier is not None else None,
         samples=sampler.records if sampler is not None else [],
-        aqm=aqm,
-        window=system.window_snapshot() if aqm is not None else None,
     )
+    residue = record.ledger.get("window", 0)
+    if residue:
+        raise AssertionError(
+            f"{policy}: window not drained at end of run "
+            f"({residue} requests still resident)"
+        )
+    return record
 
 
 def run_chaos(
@@ -246,7 +151,7 @@ def run_chaos(
     metrics: MetricsRegistry | None = None,
     aqm: str | None = None,
     aqm_shared: bool = False,
-) -> ResilientRunResult:
+) -> RunRecord:
     """One chaos-suite run: derive a schedule from ``seed`` and go.
 
     ``adaptive`` defaults to True for every adaptable classifying policy

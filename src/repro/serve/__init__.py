@@ -21,7 +21,7 @@ the offline simulator:
 
 from .admission import AdmissionDecision, AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig, ScalerDecision
-from .harness import ServeRunResult, ServiceHarness, StagedSource
+from .harness import ServiceHarness, StagedSource
 from .ingest import IngestServer
 from .placement import Node, PlacementPlan, PlacementPlanner, local_node
 
@@ -35,7 +35,6 @@ __all__ = [
     "PlacementPlan",
     "PlacementPlanner",
     "ScalerDecision",
-    "ServeRunResult",
     "ServiceHarness",
     "StagedSource",
     "Verdict",

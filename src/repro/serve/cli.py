@@ -32,10 +32,11 @@ from ..core.workload import Workload
 from ..exceptions import ReproError
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import random_schedule
+from ..record import RunRecord
 from ..shaping import WorkloadShaper
 from ..traces.library import load as load_library
 from .autoscaler import AutoscalerConfig
-from .harness import ServeRunResult, ServiceHarness
+from .harness import ServiceHarness
 from .placement import Node, PlacementPlanner
 
 #: Library workload names the ``replay``/``chaos`` commands accept.
@@ -63,7 +64,7 @@ def _plan(workload, args) -> tuple[float, float, float]:
     return plan.cmin, plan.delta_c, args.delta
 
 
-def _report(result: ServeRunResult, lines: list[str]) -> None:
+def _report(result: RunRecord, lines: list[str]) -> None:
     lines.append(
         f"{result.policy} on {result.workload_name}: "
         f"Cmin={result.cmin:g} dC={result.delta_c:g} "

@@ -34,24 +34,21 @@ clock lands on the boundary — and every chunk edge doubles as an epoch
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-import numpy as np
-
-from ..core.request import QoSClass, Request
+from ..core.request import Request
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
 from ..faults.controller import AdaptiveShaper, ControllerConfig
-from ..faults.harness import FaultRunViews
-from ..faults.invariants import ConservationReport, assert_conservation
+from ..faults.invariants import assert_conservation
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..obs.sampler import Sampler
+from ..record import RunRecord
 from ..server.aqm import resolve_aqm
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_ARRIVAL
-from ..sim.stats import ResponseTimeCollector
 from ..stack import FaultPlan, RunConfig, attach_sampler, build_stack, require_adaptable
 from .admission import AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig
@@ -156,48 +153,6 @@ class StagedSource:
         self.sink.on_arrival(request)
 
 
-@dataclass(frozen=True)
-class ServeRunResult(FaultRunViews):
-    """Outcome of one harness run: the serving plane's full ledger."""
-
-    policy: str
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
-    #: Deadline actually enforced by the stack (``delta`` minus any
-    #: placement latency charge; equals ``delta`` without a placement).
-    effective_delta: float
-    #: Per-arrival-index response times (NaN for dropped/shed/rejected).
-    responses: np.ndarray = field(repr=False)
-    #: Per-arrival-index admitted-to-Q1 mask.
-    admitted: np.ndarray = field(repr=False)
-    overall: ResponseTimeCollector
-    primary: ResponseTimeCollector
-    overflow: ResponseTimeCollector
-    primary_misses: int
-    ledger: dict
-    completed: list = field(repr=False, default_factory=list)
-    dropped: list = field(repr=False, default_factory=list)
-    shed: list = field(repr=False, default_factory=list)
-    rejected: list = field(repr=False, default_factory=list)
-    #: Predict-then-verify mismatches (must be empty for a certified run).
-    violations: tuple = ()
-    #: Admission decision tallies by verdict name.
-    decisions: dict = field(default_factory=dict)
-    conservation: ConservationReport | None = None
-    #: (time, outstanding) pairs from every epoch/chunk audit.
-    audits: tuple = ()
-    schedule: FaultSchedule | None = None
-    samples: list = field(repr=False, default_factory=list)
-    autoscaler_decisions: tuple = ()
-    demotions: int = 0
-    failovers: int = 0
-    aqm: str | None = None
-    window: dict | None = None
-    final_limit: int | None = None
-
-
 class ServiceHarness:
     """Drive the full serving plane under a deterministic virtual clock.
 
@@ -265,17 +220,13 @@ class ServiceHarness:
                 "cmin, delta_c and delta are required (directly or via "
                 "a placement plan)"
             )
-        config = RunConfig(
+        self.config = config = RunConfig(
             cmin, delta_c, delta,
             metrics=metrics, admission=admission, aqm=aqm, aqm_shared=aqm_shared,
         )
         self.policy = policy
-        self.cmin = float(cmin)
-        self.delta_c = float(delta_c)
-        self.delta = float(delta)
-        self.placement = placement
-        self.effective_delta = (
-            float(placement.effective_delta) if placement is not None else self.delta
+        self.effective_delta = float(
+            placement.effective_delta if placement is not None else delta
         )
         if self.effective_delta <= 0:
             raise ConfigurationError(
@@ -317,7 +268,7 @@ class ServiceHarness:
                 self.classifier,
                 self.effective_delta,
                 config=autoscaler,
-                delta_c=self.delta_c,
+                delta_c=config.delta_c,
                 metrics=metrics,
             )
         self.autoscaler = autoscaler
@@ -422,13 +373,13 @@ class ServiceHarness:
             )
         self.source.start()
 
-    def replay(self, workload: Workload, chunks: int = 1) -> ServeRunResult:
+    def replay(self, workload: Workload, chunks: int = 1) -> RunRecord:
         """Stage a whole workload and run it to completion."""
         self._workload_name = workload.name
         self.source.stage_workload(workload)
         return self.run(chunks=chunks)
 
-    def run(self, chunks: int = 1, horizon: float | None = None) -> ServeRunResult:
+    def run(self, chunks: int = 1, horizon: float | None = None) -> RunRecord:
         """Drive the plane: ``chunks`` audited epochs, then drain.
 
         Each chunk boundary is a ``sim.run(until=...)`` pause — the
@@ -452,7 +403,7 @@ class ServiceHarness:
 
     def run_epochs(
         self, epoch: float, horizon: float
-    ) -> ServeRunResult:
+    ) -> RunRecord:
         """Soak driver: audit every ``epoch`` virtual seconds."""
         if epoch <= 0 or horizon <= 0:
             raise ConfigurationError(
@@ -499,8 +450,8 @@ class ServiceHarness:
         self.audits.append((now, outstanding))
         return outstanding
 
-    def result(self) -> ServeRunResult:
-        """Snapshot the plane into a :class:`ServeRunResult`.
+    def result(self) -> RunRecord:
+        """Snapshot the plane into its :class:`~repro.record.RunRecord`.
 
         Asserts identity-based conservation over every *delivered*
         request (rejected ones never entered the stack and must not
@@ -523,33 +474,13 @@ class ServiceHarness:
                 raise SimulationError(
                     f"rejected request {request.index} leaked into the stack"
                 )
-        n = len(self.source.requests)
-        responses = np.full(n, np.nan, dtype=np.float64)
-        admitted = np.zeros(n, dtype=bool)
-        for request in system.completed:
-            # The same single float op the batch engine uses; adding
-            # arrival back would reassociate and cost bit-parity.
-            responses[request.index] = request.completion - request.arrival
-        for request in self.delivered:
-            admitted[request.index] = request.qos_class is QoSClass.PRIMARY
-        by_class = system.by_class
-        return ServeRunResult(
-            policy=self.policy,
+        return RunRecord.from_stack(
+            system,
+            self.policy,
+            self.config,
             workload_name=getattr(self, "_workload_name", "staged"),
-            cmin=self.cmin,
-            delta_c=self.delta_c,
-            delta=self.delta,
+            n_arrivals=len(self.delivered) + len(self.rejected),
             effective_delta=self.effective_delta,
-            responses=responses,
-            admitted=admitted,
-            overall=system.overall,
-            primary=by_class[QoSClass.PRIMARY],
-            overflow=by_class[QoSClass.OVERFLOW],
-            primary_misses=system.primary_deadline_misses(),
-            ledger=dict(system.fault_ledger()),
-            completed=list(system.completed),
-            dropped=list(system.dropped),
-            shed=list(system.shed),
             rejected=list(self.rejected),
             violations=tuple(self.violations),
             decisions={
@@ -563,12 +494,5 @@ class ServiceHarness:
                 tuple(self.autoscaler.decisions)
                 if self.autoscaler is not None
                 else ()
-            ),
-            demotions=system.demotions,
-            failovers=system.failovers,
-            aqm=self.aqm,
-            window=system.window_snapshot() if self.aqm is not None else None,
-            final_limit=(
-                self.classifier.limit if self.classifier is not None else None
             ),
         )

@@ -27,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .core.capacity import CapacityPlan, CapacityPlanner
-from .core.request import QoSClass
 from .core.rtt import DecompositionResult, decompose
 from .core.workload import Workload
 from .exceptions import ConfigurationError, SimulationError
@@ -35,12 +34,12 @@ from .obs.export import export_run
 from .obs.registry import MetricsRegistry
 from .obs.sampler import Sampler
 from .perf import engines
+from .record import RunRecord
 from .sched.registry import ALL_POLICIES
 from .server.aqm import resolve_aqm
 from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import WorkloadSource
-from .sim.stats import ResponseTimeCollector
 from .stack import RunConfig, attach_sampler, build_stack
 
 #: Planners kept strongly alive by a :class:`WorkloadShaper` (LRU).
@@ -72,66 +71,6 @@ class RunTelemetry:
         return export_run(path, self.registry, self.samples, meta=self.meta)
 
 
-@dataclass(frozen=True)
-class PolicyRunResult:
-    """Measured outcome of serving a workload under one policy.
-
-    Attributes
-    ----------
-    policy:
-        Policy name ("fcfs", "split", "fairqueue", "wf2q", "miser").
-    workload_name, cmin, delta_c, delta:
-        The experiment configuration.
-    overall, primary, overflow:
-        Response-time collectors for the whole stream and per class.
-        Under FCFS nothing is classified, so ``primary``/``overflow`` are
-        empty and ``overall`` carries everything.
-    primary_misses:
-        Guaranteed-class requests that finished after ``arrival + delta``.
-    """
-
-    policy: str
-    workload_name: str
-    cmin: float
-    delta_c: float
-    delta: float
-    overall: ResponseTimeCollector
-    primary: ResponseTimeCollector
-    overflow: ResponseTimeCollector
-    primary_misses: int
-    #: (bin_starts, completion rate IOPS) when rate recording was enabled.
-    completion_series: tuple | None = None
-    #: Metrics + samples when observability was enabled (``metrics=`` /
-    #: ``sample_interval=``); ``None`` for unobserved runs.
-    telemetry: RunTelemetry | None = None
-    #: Execution engine that produced this result ("scalar" event loop
-    #: or the "batch" columnar fast path — bit-identical samples).
-    engine: str = "scalar"
-    #: Admission mode the classifier ran in ("count" or "work").
-    admission: str = "count"
-    #: In-flight window policy the driver ran with (``None`` = no window).
-    aqm: str | None = None
-    #: Final window statistics (``snapshot()`` dict, or per-driver dicts
-    #: for the two-driver topologies); ``None`` when no window was armed.
-    window: dict | None = None
-
-    @property
-    def total_capacity(self) -> float:
-        return self.cmin + self.delta_c
-
-    def fraction_within(self, bound: float | None = None) -> float:
-        """Overall fraction meeting ``bound`` (defaults to ``delta``).
-
-        ``NaN`` for a run that completed zero requests (empty workload) —
-        such a run has no compliance to report.
-        """
-        return self.overall.fraction_within(self.delta if bound is None else bound)
-
-    def binned_fractions(self, edges) -> dict[str, float]:
-        """Figure 6-style cumulative bins over the overall distribution."""
-        return self.overall.binned_fractions(edges)
-
-
 def run_policy(
     workload: Workload,
     policy: str,
@@ -140,8 +79,8 @@ def run_policy(
     delta: float | None = None,
     *,
     config: RunConfig | None = None,
-) -> PolicyRunResult:
-    """Simulate serving ``workload`` under ``policy`` and collect stats.
+) -> RunRecord:
+    """Simulate serving ``workload`` under ``policy``; returns its record.
 
     Call as ``run_policy(workload, policy, config=RunConfig(...))``; the
     flat ``cmin``/``delta_c``/``delta`` positional form is shorthand for
@@ -154,7 +93,7 @@ def run_policy(
     through the driver(s) and scheduler; ``config.sample_interval``
     additionally installs a periodic :class:`~repro.obs.sampler.Sampler`
     with the standard probe set.  Either one populates
-    ``PolicyRunResult.telemetry``.
+    ``RunRecord.telemetry``.
 
     ``config.engine`` overrides the execution-engine selection of
     :mod:`repro.perf.engines` for this call: ``"scalar"`` forces the
@@ -178,12 +117,12 @@ def run_policy(
         )
     else:
         config = RunConfig(cmin, delta_c, delta)
-    cmin, delta_c, delta = config.cmin, config.delta_c, config.delta
     # Resolve the effective window policy (aqm= argument, Registry
     # override, or REPRO_AQM) once, so engine eligibility, the armed
-    # window, and the result snapshot can never disagree.
+    # window, and the record can never disagree.
     aqm = resolve_aqm(config.aqm)
     requested = engines.resolve_engine(config.engine)
+    record = None
     if requested != "scalar":
         if policy not in ALL_POLICIES:
             raise ConfigurationError(f"unknown policy {policy!r}")
@@ -196,12 +135,26 @@ def run_policy(
             aqm=aqm,
         )
         if eligible:
-            return _run_policy_batch(workload, policy, cmin, delta_c, delta)
-        if requested == "batch":
+            record = run_policy_batch(workload, policy, config)
+        elif requested == "batch":
             raise ConfigurationError(
                 f"engine 'batch' cannot run this configuration: {reason} "
                 "(use engine='auto' to fall back to the event engine)"
             )
+    if record is None:
+        record = _run_policy_events(workload, policy, config)
+    done = record.ledger["completed"]
+    if done != len(workload):
+        raise SimulationError(
+            f"{policy}: {done} of {len(workload)} requests completed"
+        )
+    return record
+
+
+def _run_policy_events(
+    workload: Workload, policy: str, config: RunConfig
+) -> RunRecord:
+    """Event-engine path of :func:`run_policy`."""
     metrics = config.metrics
     sample_interval = config.sample_interval
     sim = Simulator()
@@ -229,82 +182,45 @@ def run_policy(
                 "policy": policy,
                 "workload": workload.name,
                 "requests": len(workload),
-                "cmin": cmin,
-                "delta_c": delta_c,
-                "delta": delta,
+                "cmin": config.cmin,
+                "delta_c": config.delta_c,
+                "delta": config.delta,
                 "duration": workload.duration,
                 "sample_interval": sample_interval,
             },
         )
-
-    completed = system.completed
-    if len(completed) != len(workload):
-        raise SimulationError(
-            f"{policy}: {len(completed)} of {len(workload)} requests completed"
-        )
-    by_class = system.by_class
-    return PolicyRunResult(
-        policy=policy,
+    return RunRecord.from_stack(
+        system,
+        policy,
+        config,
         workload_name=workload.name,
-        cmin=cmin,
-        delta_c=delta_c,
-        delta=delta,
-        overall=system.overall,
-        primary=by_class[QoSClass.PRIMARY],
-        overflow=by_class[QoSClass.OVERFLOW],
-        primary_misses=system.primary_deadline_misses(),
+        n_arrivals=len(workload),
         completion_series=(
             system.completion_rates.series()
             if config.record_rates is not None
             else None
         ),
         telemetry=telemetry,
-        admission=config.admission,
-        aqm=aqm,
-        window=system.window_snapshot() if aqm is not None else None,
     )
 
 
-def _run_policy_batch(
-    workload: Workload,
-    policy: str,
-    cmin: float,
-    delta_c: float,
-    delta: float,
-) -> PolicyRunResult:
-    """Columnar fast path of :func:`run_policy` (eligible configs only).
+def run_policy_batch(
+    workload: Workload, policy: str, config: RunConfig
+) -> RunRecord:
+    """The batch engine's record of one eligible configuration.
 
-    Delegates the dynamics to :func:`repro.sim.batch.run_batch` and
-    repackages the response columns into the same collectors the scalar
-    engine fills — in the same sample order, so downstream consumers
-    cannot tell the engines apart.  Sized workloads pass their demand
-    column straight through.
+    Delegates the dynamics to :func:`repro.sim.batch.run_batch`; unlike
+    :func:`run_policy` it does not insist every request completed, so
+    :func:`~repro.check.differential.engine_parity` can report a lossy
+    batch run as a divergence.  Sized workloads pass their demand column
+    through (unit runs keep the seed-era call shape).
     """
-    run = batch.run_batch(
-        workload.arrivals, policy, cmin, delta_c, delta, demands=workload.sizes
-    )
-    overall = ResponseTimeCollector("overall")
-    overall.extend_array(run.overall)
-    primary = ResponseTimeCollector("Q1")
-    primary.extend_array(run.primary)
-    overflow = ResponseTimeCollector("Q2")
-    overflow.extend_array(run.overflow)
-    if len(overall) != len(workload):
-        raise SimulationError(
-            f"{policy}: {len(overall)} of {len(workload)} requests completed"
-        )
-    return PolicyRunResult(
-        policy=policy,
-        workload_name=workload.name,
-        cmin=cmin,
-        delta_c=delta_c,
-        delta=delta,
-        overall=overall,
-        primary=primary,
-        overflow=overflow,
-        primary_misses=run.primary_misses,
-        engine="batch",
-    )
+    args = (workload.arrivals, policy, config.cmin, config.delta_c, config.delta)
+    if workload.sizes is None:
+        run = batch.run_batch(*args)
+    else:
+        run = batch.run_batch(*args, demands=workload.sizes)
+    return RunRecord.from_batch(run, config, workload.name)
 
 
 @dataclass(frozen=True)
@@ -315,7 +231,7 @@ class ShapingOutcome:
     decomposition: DecompositionResult
     runs: dict
 
-    def run(self, policy: str) -> PolicyRunResult:
+    def run(self, policy: str) -> RunRecord:
         try:
             return self.runs[policy]
         except KeyError:

@@ -22,7 +22,7 @@ the same seed reproduces the same population regardless of process
 count or interleaving.
 """
 
-from .closedloop import ClosedLoopResult, run_closed_loop
+from .closedloop import run_closed_loop
 from .population import UserPopulation, poisson_poisson_workload
 from .sizes import (
     BimodalDemand,
@@ -34,7 +34,6 @@ from .sizes import (
 
 __all__ = [
     "BimodalDemand",
-    "ClosedLoopResult",
     "ConstantDemand",
     "ExponentialDemand",
     "LognormalDemand",

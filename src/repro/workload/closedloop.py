@@ -14,75 +14,13 @@ healthy path (no fault injection) everything completes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..core.request import QoSClass
-from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
+from ..record import RunRecord
 from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopSource
-from ..sim.stats import ResponseTimeCollector
 from ..stack import RunConfig, build_stack
-
-
-@dataclass(frozen=True)
-class ClosedLoopResult:
-    """Outcome of one closed-loop population run.
-
-    Attributes
-    ----------
-    policy, n_users, think_time, horizon:
-        The run configuration.
-    submitted:
-        Requests the population issued (arrival order).
-    overall, primary, overflow:
-        Response-time collectors, as in
-        :class:`~repro.shaping.PolicyRunResult`.
-    primary_misses:
-        Guaranteed-class completions later than ``arrival + delta``.
-    ledger:
-        Conservation buckets ``{"completed", "dropped", "shed"}`` (plus
-        a ``"window"`` residency bucket, zero at end of run, when an
-        AQM window was armed).
-    """
-
-    policy: str
-    n_users: int
-    think_time: float
-    horizon: float
-    submitted: list = field(default_factory=list)
-    overall: ResponseTimeCollector = None
-    primary: ResponseTimeCollector = None
-    overflow: ResponseTimeCollector = None
-    primary_misses: int = 0
-    ledger: dict = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per second of horizon."""
-        return self.ledger.get("completed", 0) / self.horizon
-
-    def fraction_within(self, bound: float) -> float:
-        """Overall fraction of completions with response <= bound."""
-        return self.overall.fraction_within(bound)
-
-    def conserved(self) -> bool:
-        """Whether every submitted request landed in exactly one bucket."""
-        return sum(self.ledger.values()) == len(self.submitted)
-
-    def observed_workload(self) -> Workload:
-        """The arrival trace the population actually generated.
-
-        Materializing it closes the loop back into the open-loop
-        tooling: the observed trace can be decomposed, replayed, or
-        golden-recorded like any other workload.
-        """
-        ordered = sorted(self.submitted, key=lambda r: (r.arrival, r.index))
-        return Workload.from_requests(
-            ordered, name=f"closed-loop-{self.policy}-{self.n_users}u"
-        )
 
 
 def run_closed_loop(
@@ -93,8 +31,13 @@ def run_closed_loop(
     horizon: float,
     seed: int = 0,
     demand_sampler=None,
-) -> ClosedLoopResult:
+) -> RunRecord:
     """Drive ``policy`` with a closed-loop user population.
+
+    The record's ``submitted`` lists the requests the population issued
+    (arrival order) and ``horizon`` is the submission window, so
+    :attr:`~repro.record.RunRecord.throughput` and
+    :meth:`~repro.record.RunRecord.observed_workload` apply.
 
     ``config`` supplies the capacity plan (``cmin``, ``delta_c``,
     ``delta``) and admission mode; observability fields are not
@@ -131,25 +74,21 @@ def run_closed_loop(
     source.start()
     sim.run()
 
-    ledger = system.fault_ledger()
-    if sum(ledger.values()) != len(source.requests):
+    record = RunRecord.from_stack(
+        system,
+        policy,
+        config,
+        workload_name=f"closed-loop-{policy}-{n_users}u",
+        n_arrivals=len(source.requests),
+        submitted=source.requests,
+        horizon=horizon,
+    )
+    if not record.conserved():
         raise SimulationError(
             f"closed-loop conservation violated: {len(source.requests)} "
-            f"submitted but ledger accounts {sum(ledger.values())}"
+            f"submitted but the ledger reads {record.ledger}"
         )
-    by_class = system.by_class
-    return ClosedLoopResult(
-        policy=policy,
-        n_users=n_users,
-        think_time=think_time,
-        horizon=horizon,
-        submitted=source.requests,
-        overall=system.overall,
-        primary=by_class[QoSClass.PRIMARY],
-        overflow=by_class[QoSClass.OVERFLOW],
-        primary_misses=system.primary_deadline_misses(),
-        ledger=ledger,
-    )
+    return record
 
 
 def _per_request(sampler):

@@ -156,7 +156,7 @@ class TestCheckedPolicies:
         assert report.ok, report.summary()
         assert set(report.runs) == set(DEFAULT_POLICIES)
         for run in report.runs.values():
-            assert run.completed == run.expected
+            assert len(run.completed) == run.n_arrivals
             assert run.violations == ()
 
     def test_default_policy_set(self):

@@ -12,13 +12,10 @@ import numpy as np
 import pytest
 
 from repro.check.corpus import load_golden
-from repro.check.differential import (
-    ENGINE_PARITY_POLICIES,
-    EngineParityReport,
-    engine_parity,
-)
+from repro.check.differential import ENGINE_PARITY_POLICIES, engine_parity
 from repro.check.fuzz import make_case
 from repro.core.workload import Workload
+from repro.record import ParityReport
 from repro.sim import batch
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -70,9 +67,9 @@ class TestReportShape:
         assert "not batch-eligible" in report.summary()
 
     def test_drift_formats_in_summary(self):
-        report = EngineParityReport(
-            workload_name="w", cmin=1.0, delta_c=1.0, delta=1.0,
-            policies=("fcfs",), max_drift=2.5e-13, bit_identical=False,
+        report = ParityReport(
+            label="engine parity", workload_name="w",
+            policies=("fcfs",), max_drift=2.5e-13,
         )
         assert report.ok
         assert "max drift" in report.summary()

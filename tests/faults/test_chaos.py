@@ -157,6 +157,7 @@ class TestHealthyPathIdentical:
         the fault-armed serving plane with an empty schedule — must
         reproduce run_policy's response times exactly."""
         from repro.faults import FaultSchedule
+        from repro.record import compare_records
         from repro.serve import ServiceHarness
         from repro.shaping import run_policy
 
@@ -166,10 +167,13 @@ class TestHealthyPathIdentical:
             policy, CMIN, DELTA_C, DELTA, faults=FaultSchedule()
         ).replay(workload, chunks=3)
         for other in (resilient, served):
-            assert list(plain.overall.samples) == list(other.overall.samples)
-            assert plain.primary_misses == other.primary_misses
-            assert list(plain.primary.samples) == list(other.primary.samples)
-            assert list(plain.overflow.samples) == list(other.overflow.samples)
+            report = compare_records(plain, other)
+            assert report.ok and report.bit_identical, report.summary()
+            # Collector sample order too: downstream digests see it.
+            for name in ("overall", "primary", "overflow"):
+                assert list(getattr(plain, name).samples) == list(
+                    getattr(other, name).samples
+                ), name
         assert not served.violations
 
 

@@ -1,7 +1,7 @@
 """End-to-end telemetry checks: traces reconcile with run results.
 
 The acceptance bar for the observability layer: the JSONL trace written
-by an instrumented run must agree with the ``PolicyRunResult`` computed
+by an instrumented run must agree with the ``RunRecord`` computed
 from the same simulation — sampled queue depths match the counters at
 every tick, and the final counters match the result's totals.
 """

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.check.differential import _scalar_columns
 from repro.core.request import QoSClass, Request
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
@@ -15,17 +14,20 @@ from repro.faults import run_resilient
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import random_schedule
 from repro.obs.registry import MetricsRegistry
+from repro.record import compare_records
 from repro.serve import (
     Node,
     PlacementPlanner,
     ServiceHarness,
     StagedSource,
 )
+from repro.shaping import RunConfig, run_policy
 from repro.sim.engine import Simulator
 from repro.sim.source import ClosedLoopSource
 from repro.traces.synthetic import poisson_workload
 
 CMIN, DELTA_C, DELTA = 4.0, 2.0, 0.5
+SCALAR = RunConfig(CMIN, DELTA_C, DELTA, engine="scalar")
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +51,15 @@ class TestReplayParity:
         "policy", ["fcfs", "split", "miser", "wf2q", "edf", "splitfarm"]
     )
     def test_bit_identical_to_scalar_engine(self, bursty, policy):
-        resp, adm, ledger, misses = _scalar_columns(
-            bursty, policy, CMIN, DELTA_C, DELTA
-        )
+        offline = run_policy(bursty, policy, config=SCALAR)
         harness = ServiceHarness(policy, CMIN, DELTA_C, DELTA)
         served = harness.replay(bursty, chunks=5)
         assert not served.violations
         assert not served.rejected
         # Exact equality, not approximate: serve == simulate, bit for bit.
-        assert np.array_equal(served.responses, resp)
-        assert np.array_equal(served.admitted, adm)
-        assert dict(served.ledger) == dict(ledger)
-        assert served.primary_misses == misses
+        report = compare_records(offline, served)
+        assert report.ok and report.bit_identical, report.summary()
+        assert np.array_equal(served.responses, offline.responses)
         assert served.conservation is not None and served.conservation.ok
 
     def test_chunking_does_not_change_the_run(self, bursty):
@@ -77,15 +76,12 @@ class TestReplayParity:
         assert len(many.audits) == len(one.audits) + 6
 
     def test_sized_demands_are_parity_safe(self, sized):
-        resp, adm, ledger, misses = _scalar_columns(
-            sized, "splitfarm", CMIN, DELTA_C, DELTA
-        )
+        offline = run_policy(sized, "splitfarm", config=SCALAR)
         served = ServiceHarness("splitfarm", CMIN, DELTA_C, DELTA).replay(
             sized, chunks=3
         )
-        assert np.array_equal(served.responses, resp)
-        assert np.array_equal(served.admitted, adm)
-        assert served.primary_misses == misses
+        report = compare_records(offline, served)
+        assert report.ok and report.bit_identical, report.summary()
 
     def test_decision_tallies_match_the_admitted_ledger(self, bursty):
         served = ServiceHarness("split", CMIN, DELTA_C, DELTA).replay(bursty)
@@ -277,6 +273,29 @@ class TestPlacement:
         # residue the stack actually enforced.
         assert served.delta == DELTA
         assert served.effective_delta == pytest.approx(DELTA - 0.2)
+
+    @pytest.mark.parametrize("policy", ["fcfs", "miser"])
+    def test_compliance_defaults_to_the_enforced_deadline(self, policy):
+        """A placed harness reports compliance against ``effective_delta``
+        (the deadline its stack enforces), not the nominal SLA delta."""
+        from repro.core.capacity import CapacityPlanner
+        from repro.traces.library import websearch
+
+        workload = websearch(20.0, seed=3)
+        plan = CapacityPlanner(workload, 0.050).plan(0.95)
+        placement = PlacementPlanner(
+            [Node("far", 10 * plan.total_capacity, latency=0.020)]
+        ).plan(plan.cmin, plan.delta_c, 0.050)
+        served = ServiceHarness(policy, placement=placement).replay(workload)
+        deadline = served.effective_delta
+        assert deadline == pytest.approx(0.030)
+        within = float(np.mean(served.responses <= deadline + 1e-12))
+        assert served.fraction_within() == pytest.approx(within)
+        if policy == "fcfs":
+            # Classifier-free: the post-fault view falls back to the
+            # same enforced-deadline fraction.
+            assert served.q1_compliance_after(0.0) == pytest.approx(within)
+            assert within < served.fraction_within(served.delta)
 
     def test_latency_eating_the_budget_is_rejected(self):
         # The planner never emits such a plan; a hand-built one with no

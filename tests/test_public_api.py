@@ -14,7 +14,7 @@ PUBLIC_API = {
         "Workload", "WorkloadShaper", "run_policy", "GraduatedSLA",
         "CapacityPlanner", "CapacityPlan", "consolidate",
         "self_consolidation", "decompose", "decompose_fluid",
-        "SharedServer", "Tenant", "PolicyRunResult", "RunConfig",
+        "SharedServer", "Tenant", "RunRecord", "RunConfig",
         "ShapingOutcome",
         "ReproError", "__version__",
     ],
@@ -89,9 +89,13 @@ PUBLIC_API = {
     "repro.workload": [
         "UserPopulation", "poisson_poisson_workload", "attach_demands",
         "ConstantDemand", "ExponentialDemand", "LognormalDemand",
-        "BimodalDemand", "ClosedLoopResult", "run_closed_loop",
+        "BimodalDemand", "run_closed_loop",
     ],
     "repro.core.registry": ["Registry"],
+    "repro.check": [
+        "compare_records", "ParityReport", "engine_parity", "run_checked",
+        "differential_policies",
+    ],
     "repro.experiments": [
         "table1", "figure2", "figure3", "figure4", "figure5", "figure6",
         "figure7", "figure8", "extensions", "sensitivity", "resilience",
@@ -105,10 +109,34 @@ PUBLIC_API = {
         "FaultInjector", "FaultState", "FaultyModel", "RetryPolicy",
         "AdaptiveShaper", "ControllerConfig", "ConservationReport",
         "check_conservation", "assert_conservation",
-        "ResilientRunResult", "run_resilient", "run_chaos",
+        "run_resilient", "run_chaos",
         "RESILIENCE_POLICIES",
     ],
 }
+
+
+#: Names retired when the five result types and two parity reports
+#: merged into RunRecord / ParityReport; no alias may bring them back.
+REMOVED = {
+    "repro": ["PolicyRunResult"],
+    "repro.shaping": ["PolicyRunResult"],
+    "repro.faults": ["ResilientRunResult"],
+    "repro.faults.harness": ["ResilientRunResult", "FaultRunViews"],
+    "repro.serve": ["ServeRunResult"],
+    "repro.workload": ["ClosedLoopResult"],
+    "repro.check": ["CheckedRun", "EngineParityReport"],
+    "repro.check.differential": [
+        "CheckedRun", "EngineParityReport", "ServeParityReport",
+        "_scalar_columns",
+    ],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(REMOVED))
+def test_removed_names_stay_gone(module_name):
+    module = importlib.import_module(module_name)
+    revived = [name for name in REMOVED[module_name] if hasattr(module, name)]
+    assert not revived, f"{module_name} still exports {revived}"
 
 
 @pytest.mark.parametrize("module_name", sorted(PUBLIC_API))

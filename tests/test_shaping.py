@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.capacity import CapacityPlanner
 from repro.exceptions import ConfigurationError
-from repro.shaping import PolicyRunResult, RunConfig, WorkloadShaper, run_policy
+from repro.record import RunRecord
+from repro.shaping import RunConfig, WorkloadShaper, run_policy
 
 POLICIES = ("fcfs", "split", "fairqueue", "wf2q", "miser")
 
@@ -61,7 +62,7 @@ class TestRunPolicy:
 
     def test_binned_fractions(self, workload, plan):
         result = run_policy(workload, "miser", plan.cmin, plan.delta_c, plan.delta)
-        bins = result.binned_fractions([0.05, 0.1, 0.5, 1.0])
+        bins = result.overall.binned_fractions([0.05, 0.1, 0.5, 1.0])
         values = list(bins.values())
         assert values[:-1] == sorted(values[:-1])  # cumulative
         assert values[-1] == pytest.approx(1.0 - values[-2], abs=1e-9)
@@ -120,7 +121,7 @@ class TestWorkloadShaper:
     def test_shape_end_to_end(self, workload):
         shaper = WorkloadShaper(delta=0.1, fraction=0.9)
         outcome = shaper.shape(workload, policies=("miser", "fcfs"))
-        assert isinstance(outcome.run("miser"), PolicyRunResult)
+        assert isinstance(outcome.run("miser"), RunRecord)
         assert outcome.decomposition.fraction_admitted >= 0.9
         with pytest.raises(ConfigurationError, match="not simulated"):
             outcome.run("split")
