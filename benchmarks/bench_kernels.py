@@ -39,7 +39,6 @@ from repro.perf import (
     available_backends,
     count_admitted,
     count_admitted_sweep,
-    use_backend,
 )
 
 #: (trace, capacity) matrix for the JSON report.  Capacities bracket the
@@ -126,12 +125,15 @@ def _bench_case(workload, capacity: float, reps: int) -> dict:
         np.array_equal(per_batch["scalar"], per_batch[name]) for name in backends
     )
 
+    # The exact mask admits a prefix of each batch, so its per-batch
+    # counts pin it; every backend's per-batch counts must match them.
     exact = decompose_exact(workload, Fraction(capacity), Fraction(DELTA))
-    exact_ok = True
-    for name in backends:
-        with use_backend(name):
-            mask = decompose(workload, capacity, DELTA).admitted
-        exact_ok = exact_ok and bool(np.array_equal(mask, exact.admitted))
+    exact_k = np.add.reduceat(
+        exact.admitted.astype(np.int64), np.cumsum(counts) - counts
+    )
+    exact_ok = bool(
+        np.array_equal(decompose(workload, capacity, DELTA).admitted, exact.admitted)
+    ) and all(np.array_equal(per_batch[name], exact_k) for name in backends)
 
     timings = {
         name: _best_of(

@@ -276,8 +276,8 @@ def fcfs_lindley_check(
     arrivals = workload.arrivals
     if arrivals.size == 0:
         return problems
-    # Pin the event engine: under REPRO_ENGINE=auto run_policy would take
-    # the columnar path, which is itself Lindley-based — the check would
+    # Pin the event engine: by default an FCFS run takes the columnar
+    # path, which is itself Lindley-based — the check would
     # compare the recurrence with itself instead of with the simulator.
     result = run_policy(
         workload, "fcfs", config=RunConfig(capacity, 0.0, delta=1.0, engine="scalar")
@@ -389,9 +389,9 @@ def engine_parity(
     the report records whether that stronger property held), the
     conservation ledger, and the primary deadline-miss counts.
 
-    This is the ``engine_parity`` differential backing the
-    ``REPRO_ENGINE=auto`` transparent dispatch; ``repro-check
-    --differential`` fuzzes it over adversarial traces.
+    This is the ``engine_parity`` differential backing ``run_policy``'s
+    transparent batch dispatch; ``repro-check --differential`` fuzzes it
+    over adversarial traces.
     """
     from ..sim import batch
 

@@ -6,30 +6,23 @@ in the library.  This package provides three implementations behind a
 registry — ``scalar`` (reference), ``numpy`` (vectorized safe-run
 compression) and ``native`` (compiled C, bit-identical to scalar) — plus
 a multi-capacity sweep kernel used to prefill the planner's bisection
-cache.  Select with the ``REPRO_KERNEL`` environment variable or
-:func:`set_backend`; the default ``auto`` picks the fastest available.
+cache.  Each call picks the fastest implementation for its input size;
+``backend=`` names one implementation for a single call.
 
 See :mod:`repro.perf.kernels` for the dispatch rules and
 ``benchmarks/bench_kernels.py`` (or ``make bench-json``) for measured
 speedups on the bundled traces.
 
-The package also hosts the *execution engine* registry
-(:mod:`repro.perf.engines`): ``REPRO_ENGINE=scalar|batch|auto`` selects
-between the discrete-event loop and the columnar fast path of
-:mod:`repro.sim.batch` for whole :func:`repro.shaping.run_policy`
-simulations; see ``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
+The package also describes the two *execution engines*
+(:mod:`repro.perf.engines`) — the discrete-event loop and the columnar
+fast path of :mod:`repro.sim.batch` — that serve whole
+:func:`repro.shaping.run_policy` simulations; each run takes the fast
+path exactly when its configuration qualifies.  See
+``benchmarks/bench_engine.py`` / ``BENCH_engine.json``.
 """
 
-from .engines import (
-    ENGINE_ENV_VAR,
-    active_engine,
-    available_engines,
-    resolve_engine,
-    set_engine,
-    use_engine,
-)
+from .engines import active_engine, available_engines
 from .kernels import (
-    ENV_VAR,
     NUMPY_MIN_BATCHES,
     KernelBackend,
     active_backend,
@@ -38,13 +31,9 @@ from .kernels import (
     count_admitted,
     count_admitted_sweep,
     dispatch_backend,
-    set_backend,
-    use_backend,
 )
 
 __all__ = [
-    "ENV_VAR",
-    "ENGINE_ENV_VAR",
     "NUMPY_MIN_BATCHES",
     "KernelBackend",
     "active_backend",
@@ -55,9 +44,4 @@ __all__ = [
     "count_admitted",
     "count_admitted_sweep",
     "dispatch_backend",
-    "resolve_engine",
-    "set_backend",
-    "set_engine",
-    "use_backend",
-    "use_engine",
 ]

@@ -1,8 +1,8 @@
-"""Execution-engine registry: scalar event loop vs columnar batch.
+"""Execution engines: scalar event loop vs columnar batch.
 
-The kernel registry (:mod:`repro.perf.kernels`) swaps implementations of
-the RTT admission recurrence; this registry swaps the *execution engine*
-that :func:`repro.shaping.run_policy` uses to serve a workload:
+The kernel backends (:mod:`repro.perf.kernels`) are implementations of
+the RTT admission recurrence; the *execution engine* is what
+:func:`repro.shaping.run_policy` uses to serve a workload:
 
 ``scalar``
     The discrete-event simulation loop (:mod:`repro.sim.engine`) — one
@@ -13,22 +13,15 @@ that :func:`repro.shaping.run_policy` uses to serve a workload:
     storage and sequential Lindley recurrences that replay the event
     engine's float arithmetic bit-for-bit, with numpy for everything
     around them.  Only applicable to configurations whose dynamics
-    reduce to the Lindley form (see :func:`repro.sim.batch.supports`);
-    requesting it for an ineligible configuration is an error.
-``auto``
-    Batch when the configuration qualifies, silent fallback to scalar
-    otherwise.  The default.
+    reduce to the Lindley form (see :func:`repro.sim.batch.supports`).
 
-Selection, highest priority first (mirroring ``REPRO_KERNEL``):
-
-1. the ``engine=`` argument of :func:`repro.shaping.run_policy`,
-2. :func:`set_engine` / :func:`use_engine` (programmatic),
-3. the ``REPRO_ENGINE`` environment variable,
-4. ``auto``.
-
-The selection chain itself is one :class:`repro.core.registry.Registry`
-instance — the same helper behind the kernel backends and the scheduling
-policy factory — with ``auto`` declared as a virtual selector.
+Selection follows the inputs: ``run_policy`` takes the batch engine
+exactly when :func:`repro.sim.batch.supports` accepts the policy and
+:class:`~repro.stack.RunConfig`.  ``RunConfig.engine`` (``"scalar"`` or
+``"batch"``; ``None``/``"auto"`` is the rule above) pins one engine for
+one call — the reference the parity checks and benchmarks compare
+against; requesting ``"batch"`` for an ineligible configuration is an
+error.
 
 Parity between the two engines is certified by
 :func:`repro.check.differential.engine_parity` (identical admitted sets,
@@ -38,54 +31,19 @@ fuzzed continuously by ``repro-check --differential``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from ..core.registry import Registry
-
-#: Environment variable naming the engine ("scalar", "batch", or "auto").
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: The selection registry (``auto`` is a selection rule, not an engine).
-REGISTRY: Registry[str] = Registry(
-    "execution engine",
-    env_var=ENGINE_ENV_VAR,
-    default="auto",
-    virtual=("auto",),
-)
-REGISTRY.register("scalar", "repro.sim.engine")
-REGISTRY.register("batch", "repro.sim.batch")
-
 #: Engines that exist (``auto`` is a selection rule, not an engine).
-ENGINES = REGISTRY.names()
+ENGINES = ("scalar", "batch")
 
 
 def available_engines() -> tuple[str, ...]:
     """Names of the execution engines usable in this environment."""
-    return REGISTRY.names()
-
-
-def resolve_engine(name: str | None = None) -> str:
-    """Resolve a request to ``"scalar"``, ``"batch"``, or ``"auto"``.
-
-    ``auto`` is returned as-is — whether it lands on the batch path is a
-    per-configuration decision made by the caller against
-    :func:`repro.sim.batch.supports`, not a process-wide one.
-    """
-    return REGISTRY.resolve(name)
+    return ENGINES
 
 
 def active_engine() -> str:
-    """Resolved engine request the next :func:`run_policy` call will see."""
-    return resolve_engine()
+    """The engine request a ``run_policy`` call without ``engine=`` sees.
 
-
-def set_engine(name: str | None) -> None:
-    """Select an engine for the whole process (None restores auto)."""
-    REGISTRY.set_override(name)
-
-
-@contextmanager
-def use_engine(name: str):
-    """Temporarily select an engine (primarily for tests/benchmarks)."""
-    with REGISTRY.use(name):
-        yield
+    Always ``"auto"``: whether a run lands on the batch path is decided
+    per call by :func:`repro.sim.batch.supports`.
+    """
+    return "auto"

@@ -12,16 +12,14 @@ behind this registry:
     bit-identical to ``scalar`` (:mod:`repro.perf.native`).  Only
     offered when a compiler is present and the build succeeds.
 
-Selection, highest priority first:
-
-1. :func:`set_backend` / :func:`use_backend` (programmatic),
-2. the ``REPRO_KERNEL`` environment variable,
-3. ``auto``: ``native`` when available; otherwise ``numpy``, except
-   that inputs shorter than :data:`NUMPY_MIN_BATCHES` batches take the
-   ``scalar`` loop — below that size numpy's fixed array-pass overhead
-   loses to plain Python (measured crossover ~1e3 batches; cf. the
-   0.85x rows in ``BENCH_kernels.json``).  An explicitly requested
-   backend is always honored regardless of size.
+Selection follows the inputs: ``native`` when a compiler built it;
+otherwise ``numpy``, except that inputs shorter than
+:data:`NUMPY_MIN_BATCHES` batches take the ``scalar`` loop — below that
+size numpy's fixed array-pass overhead loses to plain Python (measured
+crossover ~1e3 batches; cf. the 0.85x rows in ``BENCH_kernels.json``).
+The ``backend=`` argument of each kernel names one implementation for
+that call, regardless of size — the parity checks and benchmarks use
+it to compare backends against each other.
 
 Every kernel takes the batched ``(instants, counts)`` workload
 representation (:meth:`repro.core.workload.Workload.arrival_counts`),
@@ -30,7 +28,6 @@ as plain sequences or numpy arrays.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,10 +36,6 @@ import numpy as np
 from ..core.registry import Registry
 from ..exceptions import ConfigurationError
 from . import native, scalar, vectorized
-
-#: Environment variable naming the backend ("scalar", "numpy", "native",
-#: or "auto").
-ENV_VAR = "REPRO_KERNEL"
 
 
 @dataclass(frozen=True)
@@ -55,12 +48,8 @@ class KernelBackend:
     sweep: Callable
 
 
-#: Backend registry: the shared override/environment selection chain
-#: (:class:`repro.core.registry.Registry`) with ``auto`` as a virtual
-#: selector interpreted by :func:`_resolve` below.
-REGISTRY: Registry[KernelBackend] = Registry(
-    "kernel backend", env_var=ENV_VAR, default="auto", virtual=("auto",)
-)
+#: Backend registry; ``backend=None`` is the size rule in :func:`_resolve`.
+REGISTRY: Registry[KernelBackend] = Registry("kernel backend")
 REGISTRY.register(
     "scalar",
     KernelBackend(
@@ -104,27 +93,26 @@ def available_backends() -> tuple[str, ...]:
 
 
 def _resolve(name: str | None = None, size: int | None = None) -> KernelBackend:
-    requested = REGISTRY.resolve(name)
-    if requested == "auto":
+    if name is None:
         if native.available():
-            requested = "native"
+            name = "native"
         elif size is not None and size < NUMPY_MIN_BATCHES:
-            requested = "scalar"
+            name = "scalar"
         else:
-            requested = "numpy"
-    backend = REGISTRY.get(requested)
+            name = "numpy"
+    backend = REGISTRY.get(name)
     if backend.name == "native" and not native.available():
         raise ConfigurationError(
             "native kernel backend requested but no working C compiler "
-            "was found (set REPRO_KERNEL=numpy or install cc/gcc/clang)"
+            'was found (pass backend="numpy" or install cc/gcc/clang)'
         )
     return backend
 
 
 def active_backend() -> str:
-    """Resolved name of the backend the next kernel call will use.
+    """Name of the backend an unsized kernel call would use.
 
-    Size-agnostic: under ``auto`` without a native build this reports
+    Size-agnostic: without a native build this reports
     ``numpy`` even though a short input would dispatch to ``scalar`` —
     use :func:`dispatch_backend` to resolve for a concrete size.
     """
@@ -134,24 +122,6 @@ def active_backend() -> str:
 def dispatch_backend(size: int) -> str:
     """Backend an auto-dispatched kernel call would use for ``size`` batches."""
     return _resolve(size=size).name
-
-
-def set_backend(name: str | None) -> None:
-    """Select a backend for the whole process (None restores auto)."""
-    if name is not None:
-        _resolve(name)  # validate eagerly, incl. native availability
-    REGISTRY.set_override(name)
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily select a backend (primarily for tests/benchmarks)."""
-    previous = REGISTRY.override
-    set_backend(name)
-    try:
-        yield
-    finally:
-        REGISTRY.set_override(previous)
 
 
 def _validate(capacity: float, delta: float) -> None:

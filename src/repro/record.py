@@ -29,7 +29,6 @@ import numpy as np
 from .core.request import QoSClass
 from .core.workload import Workload
 from .exceptions import ConfigurationError
-from .server.aqm import resolve_aqm
 from .sim.stats import ResponseTimeCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -159,7 +158,7 @@ class RunRecord:
             dropped=system.dropped,
             shed=system.shed,
             admission=config.admission,
-            aqm=resolve_aqm(config.aqm),
+            aqm=config.aqm,
             window=system.window_snapshot(),
             demotions=system.demotions,
             failovers=system.failovers,

@@ -4,8 +4,9 @@ Central place mapping the paper's policy names ("fcfs", "split",
 "fairqueue", "miser") to the objects that implement them, so experiment
 and benchmark code can be written against policy names.  The name→factory
 mapping is a :class:`repro.core.registry.Registry` — the same helper
-behind the ``REPRO_KERNEL`` and ``REPRO_ENGINE`` switchboards — so tests
-can install policy doubles with ``REGISTRY.register``.
+that names the kernel backends and device windows — so tests can install
+policy doubles with ``REGISTRY.register``.  The policy a run serves is
+always named explicitly by its caller.
 """
 
 from __future__ import annotations
@@ -21,29 +22,16 @@ from .fcfs import FCFSScheduler
 from .miser import MiserScheduler
 from .sized import BoostScheduler, NudgeScheduler, SRPTScheduler
 
-#: Policies served by a single shared server (Split is a topology, not a
-#: scheduler — see repro.server.cluster.SplitSystem).
-SINGLE_SERVER_POLICIES = (
-    "fcfs",
-    "fairqueue",
-    "wf2q",
-    "drr",
-    "miser",
-    "edf",
-    "srpt",
-    "nudge",
-    "boost",
-)
 #: Multi-server topologies constructed outside this registry: "split" is
 #: the paper's two-queue system (repro.server.cluster.SplitSystem) and
 #: "splitfarm" the SPLIT-style size-threshold farm dispatcher
 #: (repro.server.sizesplit.SizeSplitSystem).
 TOPOLOGY_POLICIES = ("split", "splitfarm")
-ALL_POLICIES = SINGLE_SERVER_POLICIES + TOPOLOGY_POLICIES
 #: Policies with no RTT classifier (no Q1/Q2 classes, no deadlines):
 #: size-/order-aware baselines the decomposition policies compete with.
 #: The adaptive fault-plane controller cannot steer these.
 CLASSIFIER_FREE_POLICIES = ("fcfs", "srpt", "nudge", "boost")
+
 
 def _classifier(cmin, delta, admission):
     # Count mode uses the seed-era two-argument call so test doubles
@@ -54,8 +42,7 @@ def _classifier(cmin, delta, admission):
 
 
 #: Scheduler factory registry.  Each entry maps a policy name to a
-#: callable ``(cmin, delta_c, delta, admission) -> Scheduler``.  No
-#: environment variable or default: policies are always named explicitly.
+#: callable ``(cmin, delta_c, delta, admission) -> Scheduler``.
 REGISTRY: Registry = Registry("policy")
 
 
@@ -107,6 +94,12 @@ def _make_nudge(cmin, delta_c, delta, admission):
 @REGISTRY.register("boost")
 def _make_boost(cmin, delta_c, delta, admission):
     return BoostScheduler(scale=delta)
+
+
+#: Policies served by a single shared server (Split is a topology, not a
+#: scheduler — see repro.server.cluster.SplitSystem), in registration order.
+SINGLE_SERVER_POLICIES = REGISTRY.names()
+ALL_POLICIES = SINGLE_SERVER_POLICIES + TOPOLOGY_POLICIES
 
 
 def make_scheduler(

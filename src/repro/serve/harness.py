@@ -46,7 +46,6 @@ from ..faults.schedule import FaultSchedule
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..obs.sampler import Sampler
 from ..record import RunRecord
-from ..server.aqm import resolve_aqm
 from ..sim.engine import Simulator
 from ..sim.events import PRIORITY_ARRIVAL
 from ..stack import FaultPlan, RunConfig, attach_sampler, build_stack, require_adaptable
@@ -237,7 +236,6 @@ class ServiceHarness:
         self.adaptive = bool(adaptive)
         self.controller_config = controller_config
         self.sample_interval = sample_interval
-        self.aqm = resolve_aqm(aqm)
         self._user_on_request = on_request
         fault_mode = faults is not None or retry is not None or self.adaptive
         self.sim = Simulator()
@@ -442,7 +440,7 @@ class ServiceHarness:
                     f"end-of-run audit: {outstanding} requests neither "
                     "completed nor accounted as dropped/shed/rejected"
                 )
-            if self.aqm is not None and resident != 0:
+            if self.config.aqm is not None and resident != 0:
                 raise SimulationError(
                     f"device window not drained at end of run "
                     f"({resident} resident)"

@@ -26,11 +26,10 @@ service) at once:
   decrease when sojourn exceeds target, additive increase only while
   the window is actually saturated (so an idle window never inflates).
 
-Windows register behind the unified :class:`repro.core.registry.
-Registry` (``REPRO_AQM`` environment override), mirroring the kernel /
-engine / policy switchboards; :func:`make_window` is the factory the
-run layer calls with the ``aqm=`` name from a
-:class:`~repro.shaping.RunConfig`.
+Windows register in a :class:`repro.core.registry.Registry`;
+:func:`make_window` is the factory the run layer calls with the
+``aqm=`` name from a :class:`~repro.stack.RunConfig` — the window is a
+per-run (per-device) policy, never a process mode.
 
 Floor semantics
 ---------------
@@ -54,7 +53,6 @@ which is why :class:`~repro.core.capacity.CapacityPlanner` accepts a
 from __future__ import annotations
 
 import math
-import os
 
 from ..core.registry import Registry
 from ..core.request import Request
@@ -483,9 +481,7 @@ class AdaptiveWindow(InflightWindow):
 #: as it parameterizes the admission bound.  No default: ``aqm=None``
 #: means *no window at all* (today's driver, bit-identical), which is a
 #: structural absence rather than a registry entry.
-REGISTRY: Registry = Registry(
-    "aqm window policy", env_var="REPRO_AQM", virtual=("none",)
-)
+REGISTRY: Registry = Registry("aqm window policy")
 
 
 @REGISTRY.register("unbounded")
@@ -515,38 +511,15 @@ def _make_adaptive(delta: float) -> AdaptiveWindow:
 AQM_POLICIES = tuple(REGISTRY.names())
 
 
-def resolve_aqm(name: str | None) -> str | None:
-    """Resolve the *effective* window policy for an ``aqm=`` selection.
-
-    ``None`` consults the override chain — :meth:`Registry.use`, then
-    the ``REPRO_AQM`` environment variable — mirroring the kernel and
-    engine switchboards; the virtual name ``"none"`` (and an unset
-    chain) resolve to ``None``, the dormant no-window path.  The run
-    layers call this once up front so that batch-engine eligibility,
-    result snapshots, and ledger assertions all agree with the window
-    that actually gets armed.
-    """
-    if name is None:
-        name = REGISTRY.override or os.environ.get(REGISTRY.env_var or "", None)
-        if name is None:
-            return None
-    resolved = REGISTRY.resolve(name)
-    return None if resolved == "none" else resolved
-
-
 def make_window(name: str | None, delta: float) -> InflightWindow | None:
     """Build the in-flight window selected by ``name``.
 
     ``None`` returns ``None`` — the dormant path: the driver keeps its
     historical unbuffered dispatch loop, bit-identical to the
-    pre-AQM stack (certified by the golden corpus).  An unset ``name``
-    may still be overridden by :meth:`Registry.use` or the
-    ``REPRO_AQM`` environment variable (the virtual name ``"none"``
-    explicitly selects no window) — see :func:`resolve_aqm`.
+    pre-AQM stack (certified by the golden corpus).
     """
-    resolved = resolve_aqm(name)
-    if resolved is None:
+    if name is None:
         return None
     if delta <= 0:
         raise ConfigurationError(f"delta must be positive, got {delta}")
-    return REGISTRY.get(resolved)(delta)
+    return REGISTRY.get(name)(delta)

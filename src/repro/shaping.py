@@ -33,10 +33,8 @@ from .exceptions import ConfigurationError, SimulationError
 from .obs.export import export_run
 from .obs.registry import MetricsRegistry
 from .obs.sampler import Sampler
-from .perf import engines
 from .record import RunRecord
 from .sched.registry import ALL_POLICIES
-from .server.aqm import resolve_aqm
 from .sim import batch
 from .sim.engine import Simulator
 from .sim.source import WorkloadSource
@@ -95,14 +93,14 @@ def run_policy(
     with the standard probe set.  Either one populates
     ``RunRecord.telemetry``.
 
-    ``config.engine`` overrides the execution-engine selection of
-    :mod:`repro.perf.engines` for this call: ``"scalar"`` forces the
-    event loop, ``"batch"`` demands the columnar fast path (an error if
-    the configuration is ineligible), and ``"auto"`` (the process
-    default) takes the fast path exactly when the configuration
-    qualifies — an FCFS or Split run with no observability attached —
-    producing bit-identical samples either way (certified by
-    :func:`repro.check.differential.engine_parity`).
+    The run takes the columnar batch engine exactly when the
+    configuration qualifies (:func:`repro.sim.batch.supports`: an FCFS
+    or Split run with no observability or window attached), producing
+    bit-identical samples either way (certified by
+    :func:`repro.check.differential.engine_parity`).  ``config.engine``
+    pins one engine for this call: ``"scalar"`` forces the event loop,
+    ``"batch"`` demands the fast path (an error if the configuration is
+    ineligible); ``None``/``"auto"`` is the rule above.
     """
     if config is not None:
         if any(value is not None for value in (cmin, delta_c, delta)):
@@ -117,13 +115,8 @@ def run_policy(
         )
     else:
         config = RunConfig(cmin, delta_c, delta)
-    # Resolve the effective window policy (aqm= argument, Registry
-    # override, or REPRO_AQM) once, so engine eligibility, the armed
-    # window, and the record can never disagree.
-    aqm = resolve_aqm(config.aqm)
-    requested = engines.resolve_engine(config.engine)
     record = None
-    if requested != "scalar":
+    if config.engine != "scalar":
         if policy not in ALL_POLICIES:
             raise ConfigurationError(f"unknown policy {policy!r}")
         eligible, reason = batch.supports(
@@ -132,11 +125,11 @@ def run_policy(
             metrics=config.metrics,
             sample_interval=config.sample_interval,
             admission=config.admission,
-            aqm=aqm,
+            aqm=config.aqm,
         )
         if eligible:
             record = run_policy_batch(workload, policy, config)
-        elif requested == "batch":
+        elif config.engine == "batch":
             raise ConfigurationError(
                 f"engine 'batch' cannot run this configuration: {reason} "
                 "(use engine='auto' to fall back to the event engine)"

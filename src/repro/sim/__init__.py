@@ -3,7 +3,7 @@
 Two execution modes share this package: the event-driven
 :class:`Simulator` (reference semantics) and the columnar batch engine
 (:mod:`repro.sim.batch`) that replays the same dynamics bit-exactly for
-Lindley-reducible configurations; see ``REPRO_ENGINE`` in
+Lindley-reducible configurations and is taken exactly for those; see
 :mod:`repro.perf.engines`.
 """
 

@@ -36,9 +36,10 @@ from typing import TYPE_CHECKING, Callable
 from .exceptions import ConfigurationError
 from .obs.registry import MetricsRegistry
 from .obs.sampler import Sampler, attach_standard_probes
+from .perf.engines import ENGINES
 from .sched.base import Scheduler
 from .sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
-from .server.aqm import AQM_POLICIES, make_window, resolve_aqm
+from .server.aqm import AQM_POLICIES, make_window
 from .server.base import Server
 from .server.cluster import SplitSystem
 from .server.constant_rate import ConstantRateModel
@@ -80,8 +81,9 @@ class RunConfig:
     sample_interval:
         Period of the standard probe sampler; ``None`` disables it.
     engine:
-        Execution engine override ("scalar", "batch", "auto"); ``None``
-        defers to :mod:`repro.perf.engines`.
+        Pins the execution engine for this run (``"scalar"`` or
+        ``"batch"``); ``None`` or ``"auto"`` takes the batch engine
+        exactly when :func:`repro.sim.batch.supports` the run.
     admission:
         Classifier admission mode: ``"count"`` (the paper's
         ``lenQ1 < floor(C·δ)``) or ``"work"`` (cumulative admitted
@@ -120,6 +122,11 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown admission mode {self.admission!r}; "
                 "choose from ['count', 'work']"
+            )
+        if self.engine not in (None, "auto", *ENGINES):
+            raise ConfigurationError(
+                f"unknown execution engine {self.engine!r}; "
+                f"choose from {sorted(('auto', *ENGINES))} or None"
             )
         if self.aqm is not None and self.aqm not in AQM_POLICIES:
             raise ConfigurationError(
@@ -173,7 +180,6 @@ def build_stack(
     before this returns.  ``wrap_scheduler`` decorates the single-server
     scheduler (the topologies run fixed FCFS pairs and ignore it).
     """
-    aqm = resolve_aqm(config.aqm)
     retry = faults.retry if faults is not None else None
     if faults is None:
         unit_factory = Server
@@ -206,7 +212,7 @@ def build_stack(
             unit_factory=unit_factory,
             retry=retry,
             admission=config.admission,
-            aqm=aqm,
+            aqm=config.aqm,
             aqm_shared=config.aqm_shared,
         )
     elif policy in SINGLE_SERVER_POLICIES:
@@ -223,7 +229,7 @@ def build_stack(
             record_rates=config.record_rates,
             metrics=config.metrics,
             retry=retry,
-            window=make_window(aqm, config.delta),
+            window=make_window(config.aqm, config.delta),
         )
     else:
         raise ConfigurationError(f"unknown policy {policy!r}")

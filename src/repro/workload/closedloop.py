@@ -40,10 +40,10 @@ def run_closed_loop(
     :meth:`~repro.record.RunRecord.observed_workload` apply.
 
     ``config`` supplies the capacity plan (``cmin``, ``delta_c``,
-    ``delta``) and admission mode; observability fields are not
-    supported here (closed-loop runs are scalar-engine by nature — the
-    batch engine needs the arrival column up front, which closed-loop
-    traffic only yields after the fact).
+    ``delta``), admission mode and device window; observability fields
+    and ``engine="batch"`` are rejected (closed-loop runs are
+    scalar-engine by nature — the batch engine needs the arrival column
+    up front, which closed-loop traffic only yields after the fact).
 
     ``demand_sampler`` optionally sizes each request — any columnar
     ``(rng, n)`` sampler from :mod:`repro.workload.sizes`, drawn one
@@ -55,6 +55,11 @@ def run_closed_loop(
         raise ConfigurationError(
             "closed-loop runs do not support observability options; "
             "use a plain RunConfig(cmin, delta_c, delta)"
+        )
+    if config.engine == "batch":
+        raise ConfigurationError(
+            "closed-loop runs need the event engine: the batch engine needs "
+            "the arrival column up front"
         )
     sim = Simulator()
     system = build_stack(sim, policy, config)

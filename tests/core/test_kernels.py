@@ -25,7 +25,6 @@ from repro.core.rtt import decompose, decompose_exact
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
 from repro.perf import (
-    ENV_VAR,
     NUMPY_MIN_BATCHES,
     active_backend,
     admitted_per_batch,
@@ -33,8 +32,6 @@ from repro.perf import (
     count_admitted,
     count_admitted_sweep,
     dispatch_backend,
-    set_backend,
-    use_backend,
 )
 
 BACKENDS = available_backends()
@@ -146,11 +143,22 @@ def test_mask_matches_decompose_exact(stream, capacity, delta):
     arrivals = np.repeat(instants, counts)
     workload = Workload(arrivals)
     exact = decompose_exact(workload, Fraction(capacity), Fraction(delta))
+    np.testing.assert_array_equal(
+        decompose(workload, capacity, delta).admitted, exact.admitted
+    )
+    # Within a batch the exact mask admits a prefix (trace order), so the
+    # per-batch admitted counts pin the whole mask.
+    starts = np.cumsum(counts) - counts
+    exact_k = (
+        np.add.reduceat(exact.admitted.astype(np.int64), starts)
+        if counts.size
+        else np.zeros(0, dtype=np.int64)
+    )
     for name in BACKENDS:
-        with use_backend(name):
-            result = decompose(workload, capacity, delta)
         np.testing.assert_array_equal(
-            result.admitted, exact.admitted, err_msg=f"backend {name} vs exact"
+            admitted_per_batch(instants, counts, capacity, delta, backend=name),
+            exact_k,
+            err_msg=f"backend {name} vs exact",
         )
 
 
@@ -167,34 +175,18 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             count_admitted([0.0], [1], 1.0, 1.0, backend="cuda")
-        with pytest.raises(ConfigurationError):
-            set_backend("cuda")
 
-    def test_set_backend_and_restore(self):
-        set_backend("scalar")
-        try:
-            assert active_backend() == "scalar"
-        finally:
-            set_backend(None)
+    def test_active_backend_is_available(self):
         assert active_backend() in BACKENDS
 
-    def test_use_backend_restores_on_exit(self):
-        before = active_backend()
-        with use_backend("numpy"):
-            assert active_backend() == "numpy"
-        assert active_backend() == before
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-        monkeypatch.setenv(ENV_VAR, "nonsense")
-        with pytest.raises(ConfigurationError):
-            active_backend()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        with use_backend("scalar"):
-            assert active_backend() == "scalar"
+    def test_env_var_is_ignored(self, monkeypatch):
+        """``REPRO_KERNEL`` no longer selects a backend."""
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        backend = active_backend()
+        admitted = count_admitted([0.0, 0.5], [4, 4], 8.0, 0.5)
+        monkeypatch.setenv("REPRO_KERNEL", "scalar" if backend != "scalar" else "numpy")
+        assert active_backend() == backend
+        assert count_admitted([0.0, 0.5], [4, 4], 8.0, 0.5) == admitted
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -216,11 +208,9 @@ class TestAutoDispatchCrossover:
 
     @pytest.fixture(autouse=True)
     def _auto_without_native(self, monkeypatch):
-        """Force the auto rule with no env/override and no native build."""
-        from repro.perf import kernels, native
+        """Force the auto rule with no native build."""
+        from repro.perf import native
 
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.setattr(kernels.REGISTRY, "_override", None)
         monkeypatch.setattr(native, "available", lambda: False)
 
     def test_small_inputs_dispatch_to_scalar(self):
@@ -239,16 +229,19 @@ class TestAutoDispatchCrossover:
         assert dispatch_backend(1) == "native"
         assert dispatch_backend(NUMPY_MIN_BATCHES) == "native"
 
-    def test_explicit_backend_beats_size_rule(self):
-        """An explicit request is always honored, whatever the size."""
-        with use_backend("numpy"):
-            assert dispatch_backend(1) == "numpy"
-        with use_backend("scalar"):
-            assert dispatch_backend(10 * NUMPY_MIN_BATCHES) == "scalar"
+    def test_env_var_does_not_beat_size_rule(self, monkeypatch):
+        """``REPRO_KERNEL`` is ignored: the size rule alone decides."""
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        assert dispatch_backend(1) == "scalar"
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert dispatch_backend(NUMPY_MIN_BATCHES) == "numpy"
 
-    def test_env_var_beats_size_rule(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert dispatch_backend(1) == "numpy"
+    def test_explicit_backend_beats_size_rule(self):
+        """An explicit ``backend=`` is always honored, whatever the size."""
+        from repro.perf.kernels import _resolve
+
+        assert _resolve("numpy", size=1).name == "numpy"
+        assert _resolve("scalar", size=10 * NUMPY_MIN_BATCHES).name == "scalar"
 
     def test_small_call_still_correct_under_auto(self):
         """The dispatch switch changes speed, never answers."""

@@ -22,7 +22,6 @@ from repro.server.aqm import (
     AQM_POLICIES,
     DEFAULT_INITIAL_DEPTH,
     DEFAULT_STATIC_DEPTH,
-    REGISTRY,
     AdaptiveWindow,
     CoDelWindow,
     InflightWindow,
@@ -218,6 +217,13 @@ class TestRegistryFactory:
 
     def test_none_means_no_window(self):
         assert make_window(None, 0.2) is None
+        assert make_window(None, 0.0) is None  # nothing to parameterize
+
+    def test_env_variable_ignored(self, monkeypatch):
+        """``REPRO_AQM`` no longer arms a window."""
+        monkeypatch.setenv("REPRO_AQM", "codel")
+        assert make_window(None, 0.2) is None
+        assert RunConfig(CMIN, DELTA_C, DELTA).aqm is None
 
     def test_factory_defaults(self):
         assert make_window("unbounded", 0.2).depth is None
@@ -238,19 +244,6 @@ class TestRegistryFactory:
     def test_delta_validated(self):
         with pytest.raises(ConfigurationError, match="delta"):
             make_window("codel", 0.0)
-
-    def test_override_reaches_default_runs(self):
-        """``REGISTRY.use`` (and ``REPRO_AQM``) arms a window even when
-        the caller passed ``aqm=None`` — the switchboard idiom."""
-        with REGISTRY.use("static"):
-            window = make_window(None, 0.2)
-        assert isinstance(window, InflightWindow) and window._depth == 4
-
-    def test_env_variable_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AQM", "codel")
-        assert isinstance(make_window(None, 0.2), CoDelWindow)
-        monkeypatch.setenv("REPRO_AQM", "none")
-        assert make_window(None, 0.2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +362,24 @@ class TestRunConfigAQM:
         assert result.window["policy"] == "codel"
         assert result.window["occupancy"] == 0  # drained
 
-    def test_env_armed_window_surfaces_in_result(
-        self, bloat_workload, monkeypatch
-    ):
-        """``REPRO_AQM`` with ``aqm=None`` must behave exactly like an
-        explicit ``aqm=``: the result reports the resolved policy, the
-        snapshot is surfaced, and the batch fast path steps aside (a
-        batch run would silently bypass the window)."""
-        monkeypatch.setenv("REPRO_AQM", "static")
-        config = RunConfig(CMIN, DELTA_C, DELTA)
-        result = run_policy(bloat_workload, "fcfs", config=config)
-        assert result.engine == "scalar"
-        assert result.aqm == "static"
-        assert result.window["policy"] == "static"
-        assert result.window["occupancy"] == 0
-        monkeypatch.setenv("REPRO_AQM", "none")
-        dormant = run_policy(bloat_workload, "fcfs", config=config)
+    def test_window_follows_config(self, bloat_workload):
+        """An explicit ``RunConfig.aqm`` window reports itself and steps
+        the batch fast path aside."""
+        armed = run_policy(
+            bloat_workload, "fcfs", config=RunConfig(CMIN, DELTA_C, DELTA, aqm="static")
+        )
+        assert armed.engine == "scalar"
+        assert armed.aqm == "static"
+        assert armed.window["policy"] == "static"
+        assert armed.window["occupancy"] == 0
+        assert armed.window["dispatches"] >= len(bloat_workload)
+
+    def test_default_run_arms_no_window(self, bloat_workload):
+        """Without ``RunConfig.aqm`` there is no window, and the batch
+        fast path stays eligible."""
+        dormant = run_policy(bloat_workload, "fcfs", config=RunConfig(CMIN, DELTA_C, DELTA))
+        assert dormant.engine == "batch"
         assert dormant.aqm is None and dormant.window is None
-        assert result.window["dispatches"] >= len(bloat_workload)
 
     def test_no_window_no_snapshot(self, bloat_workload):
         result = run_policy(

@@ -77,10 +77,8 @@ class TestRunPolicyParity:
 
 
 class TestEngineSelection:
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self, monkeypatch):
-        monkeypatch.delenv(engines.ENGINE_ENV_VAR, raising=False)
-        monkeypatch.setattr(engines.REGISTRY, "_override", None)
+    """The engine follows the configuration; ``RunConfig.engine`` pins
+    one for a single call."""
 
     def test_defaults_to_auto(self):
         assert engines.active_engine() == "auto"
@@ -89,44 +87,17 @@ class TestEngineSelection:
         result = run_policy(ZERO_GAP, "fcfs", **CONFIG)
         assert result.engine == "batch"
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(engines.ENGINE_ENV_VAR, "scalar")
-        assert engines.active_engine() == "scalar"
-        result = run_policy(ZERO_GAP, "fcfs", **CONFIG)
-        assert result.engine == "scalar"
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_config_pins_the_engine(self, engine):
+        result = run_policy(ZERO_GAP, "fcfs", config=RunConfig(**CONFIG, engine=engine))
+        assert result.engine == engine
 
-    def test_env_var_rejects_nonsense(self, monkeypatch):
-        monkeypatch.setenv(engines.ENGINE_ENV_VAR, "quantum")
-        with pytest.raises(ConfigurationError, match="unknown execution engine"):
-            engines.active_engine()
-
-    def test_set_engine_and_restore(self):
-        engines.set_engine("scalar")
-        try:
-            assert engines.active_engine() == "scalar"
-        finally:
-            engines.set_engine(None)
+    @pytest.mark.parametrize("value", ["scalar", "quantum"])
+    def test_env_var_is_ignored(self, monkeypatch, value):
+        """``REPRO_ENGINE`` neither pins an engine nor is validated."""
+        monkeypatch.setenv("REPRO_ENGINE", value)
         assert engines.active_engine() == "auto"
-
-    def test_set_engine_validates_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            engines.set_engine("quantum")
-        assert engines.active_engine() == "auto"
-
-    def test_use_engine_restores_on_exit(self):
-        with engines.use_engine("batch"):
-            assert engines.active_engine() == "batch"
-        assert engines.active_engine() == "auto"
-
-    def test_argument_beats_override(self):
-        with engines.use_engine("batch"):
-            result = run_policy(ZERO_GAP, "fcfs", config=RunConfig(**CONFIG, engine="scalar"))
-        assert result.engine == "scalar"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(engines.ENGINE_ENV_VAR, "scalar")
-        with engines.use_engine("batch"):
-            assert engines.active_engine() == "batch"
+        assert run_policy(ZERO_GAP, "fcfs", **CONFIG).engine == "batch"
 
     def test_available_engines(self):
         assert engines.available_engines() == ("scalar", "batch")

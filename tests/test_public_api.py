@@ -61,12 +61,11 @@ PUBLIC_API = {
         "fcfs_stream", "split_stream", "EPOCH",
     ],
     "repro.perf": [
-        "ENV_VAR", "ENGINE_ENV_VAR", "NUMPY_MIN_BATCHES",
+        "NUMPY_MIN_BATCHES",
         "KernelBackend", "active_backend", "dispatch_backend",
         "available_backends", "count_admitted", "admitted_per_batch",
-        "count_admitted_sweep", "set_backend", "use_backend",
-        "active_engine", "available_engines", "resolve_engine",
-        "set_engine", "use_engine",
+        "count_admitted_sweep",
+        "active_engine", "available_engines",
     ],
     "repro.traces": [
         "websearch", "fintrans", "openmail", "load", "WORKLOADS",
@@ -116,7 +115,9 @@ PUBLIC_API = {
 
 
 #: Names retired when the five result types and two parity reports
-#: merged into RunRecord / ParityReport; no alias may bring them back.
+#: merged into RunRecord / ParityReport, and when the process-global
+#: engine/kernel/window switchboards gave way to selection by input;
+#: no alias may bring them back.
 REMOVED = {
     "repro": ["PolicyRunResult"],
     "repro.shaping": ["PolicyRunResult"],
@@ -129,6 +130,16 @@ REMOVED = {
         "CheckedRun", "EngineParityReport", "ServeParityReport",
         "_scalar_columns",
     ],
+    "repro.perf": [
+        "ENV_VAR", "ENGINE_ENV_VAR", "resolve_engine", "set_engine",
+        "use_engine", "set_backend", "use_backend",
+    ],
+    "repro.perf.engines": [
+        "ENGINE_ENV_VAR", "REGISTRY", "resolve_engine", "set_engine",
+        "use_engine",
+    ],
+    "repro.perf.kernels": ["ENV_VAR", "set_backend", "use_backend"],
+    "repro.server.aqm": ["resolve_aqm"],
 }
 
 

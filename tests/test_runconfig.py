@@ -33,6 +33,21 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="unknown admission mode"):
             RunConfig(3.0, 2.0, 0.5, admission="bytes")
 
+    @pytest.mark.parametrize("engine", ["quantum", "Scalar", "", "none"])
+    def test_validates_engine(self, engine):
+        """An unknown engine fails at construction, not inside run_policy."""
+        with pytest.raises(ConfigurationError, match="unknown execution engine"):
+            RunConfig(100.0, 10.0, 0.1, engine=engine)
+
+    @pytest.mark.parametrize("engine", [None, "auto", "scalar", "batch"])
+    def test_accepts_known_engines(self, engine):
+        assert RunConfig(100.0, 10.0, 0.1, engine=engine).engine == engine
+        assert RunConfig(100.0, 10.0, 0.1).with_engine(engine).engine == engine
+
+    def test_with_engine_validates(self):
+        with pytest.raises(ConfigurationError, match="unknown execution engine"):
+            RunConfig(3.0, 2.0, 0.5).with_engine("quantum")
+
     def test_with_engine_copies(self):
         config = RunConfig(3.0, 2.0, 0.5)
         batch = config.with_engine("batch")

@@ -148,6 +148,23 @@ class TestRunClosedLoop:
                 "split", config, n_users=2, think_time=1.0, horizon=5.0
             )
 
+    def test_rejects_batch_engine(self):
+        """Closed-loop traffic runs on the event engine; asking for the
+        batch engine fails loudly instead of being ignored."""
+        with pytest.raises(ConfigurationError, match="event engine"):
+            run_closed_loop(
+                "fcfs", self.CONFIG.with_engine("batch"),
+                n_users=2, think_time=1.0, horizon=5.0,
+            )
+
+    @pytest.mark.parametrize("engine", [None, "auto", "scalar"])
+    def test_event_engine_requests_accepted(self, engine):
+        result = run_closed_loop(
+            "fcfs", self.CONFIG.with_engine(engine),
+            n_users=2, think_time=1.0, horizon=5.0,
+        )
+        assert result.engine == "scalar" and result.conserved()
+
     def test_unknown_policy(self):
         with pytest.raises(ConfigurationError, match="unknown policy"):
             run_closed_loop(
