@@ -29,7 +29,7 @@ CLI and the test suite fail on any non-clean report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +47,7 @@ from ..sim.source import WorkloadSource
 from ..server.driver import DeviceDriver
 from ..record import ParityReport, RunRecord, compare_records
 from ..shaping import run_policy, run_policy_batch
-from ..stack import TOPOLOGIES, RunConfig, build_stack
+from ..stack import TOPOLOGIES, Run, RunConfig
 from .invariants import CheckingScheduler, Violation
 
 #: Policies the differential harness exercises by default: the four
@@ -477,7 +477,7 @@ def run_checked(
 ) -> RunRecord:
     """Serve ``workload`` under ``policy`` with the invariant auditor on.
 
-    The stack is :func:`~repro.stack.build_stack`'s, with every
+    One :class:`~repro.stack.Run` serves it, with every
     single-server scheduler wrapped in a
     :class:`~repro.check.invariants.CheckingScheduler`.  The topologies
     run fixed FCFS pairs with no policy scheduler to wrap, so each is
@@ -495,66 +495,40 @@ def run_checked(
         checkers.append(CheckingScheduler(scheduler))
         return checkers[-1]
 
-    config = RunConfig(cmin, delta_c, delta)
-    sim = Simulator()
-    system = build_stack(sim, policy, config, wrap_scheduler=audited)
-    WorkloadSource(sim, workload, system).start()
-    sim.run()
-    record = RunRecord.from_stack(
-        system, policy, config, workload_name=workload.name,
-        n_arrivals=len(workload),
-    )
+    run = Run(policy, RunConfig(cmin, delta_c, delta), wrap_scheduler=audited)
+    system = run.system
+    requests = run.replay(workload)
     violations: list[Violation] = [v for c in checkers for v in c.violations]
-    completed = record.completed
+
+    def breach(invariant: str, detail: str, time: float = float("nan")) -> None:
+        violations.append(Violation(invariant, policy, detail, time))
+
+    completed = system.completed
     if len({id(r) for r in completed}) != len(completed):
-        violations.append(
-            Violation(
-                invariant="completion-uniqueness",
-                policy=policy,
-                detail="a request completed more than once",
-                time=float("nan"),
-            )
-        )
-    primary_misses = record.primary_misses
+        breach("completion-uniqueness", "a request completed more than once")
+    primary_misses = system.primary_deadline_misses()
     if policy == "split" and primary_misses:
-        violations.append(
-            Violation(
-                invariant="split-q1-guarantee",
-                policy=policy,
-                detail=(
-                    f"{primary_misses} primary misses on a "
-                    f"dedicated rate-{cmin:g} server"
-                ),
-                time=float("nan"),
-            )
+        breach(
+            "split-q1-guarantee",
+            f"{primary_misses} primary misses on a dedicated rate-{cmin:g} server",
         )
     if policy == "splitfarm":
-        ledger = record.ledger
+        ledger = system.fault_ledger()
         if ledger["dropped"] or ledger["shed"]:
-            violations.append(
-                Violation(
-                    invariant="splitfarm-conservation",
-                    policy=policy,
-                    detail=f"healthy run lost requests: {ledger}",
-                    time=float("nan"),
-                )
-            )
+            breach("splitfarm-conservation", f"healthy run lost requests: {ledger}")
         for driver, small in zip(system.drivers, (True, False)):
             for request in driver.completed:
                 if system.is_small(request) != small:
-                    violations.append(
-                        Violation(
-                            invariant="splitfarm-routing",
-                            policy=policy,
-                            detail=(
-                                f"demand {request.service_demand} completed on "
-                                f"the {driver.server.name} partition "
-                                f"(threshold {system.threshold})"
-                            ),
-                            time=float(request.completion),
-                        )
+                    breach(
+                        "splitfarm-routing",
+                        f"demand {request.service_demand} completed on the "
+                        f"{driver.server.name} partition "
+                        f"(threshold {system.threshold})",
+                        float(request.completion),
                     )
-    return replace(record, violations=tuple(violations))
+    return run.record(
+        requests, workload_name=workload.name, violations=tuple(violations)
+    )
 
 
 @dataclass(frozen=True)

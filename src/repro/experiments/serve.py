@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from ..analysis.reporting import format_table
 from ..check.differential import serve_parity
 from ..faults import run_resilient
-from ..faults.retry import RetryPolicy
-from ..faults.schedule import random_schedule
+from ..faults.harness import chaos_recipe
 from ..record import ParityReport
 from ..serve import AutoscalerConfig, ServiceHarness
 from ..shaping import WorkloadShaper
@@ -104,14 +103,8 @@ def run(config: ExperimentConfig | None = None) -> ServeResult:
     )
 
     seed = CHAOS_SEED + config.seed_offset
-    schedule = random_schedule(
-        seed, horizon=workload.duration, crashes=1, droops=1, storms=1, units=2
-    )
-    retry = RetryPolicy(
-        timeout_q1=10 * DELTA,
-        timeout_q2=40 * DELTA,
-        max_retries=3,
-        backoff_base=DELTA / 2,
+    schedule, retry, adaptive = chaos_recipe(
+        CHAOS_POLICY, DELTA, seed, workload.duration
     )
     offline = run_resilient(
         workload,
@@ -121,7 +114,7 @@ def run(config: ExperimentConfig | None = None) -> ServeResult:
         DELTA,
         schedule=schedule,
         retry=retry,
-        adaptive=True,
+        adaptive=adaptive,
         seed=seed,
     )
     harness = ServiceHarness(
@@ -131,7 +124,7 @@ def run(config: ExperimentConfig | None = None) -> ServeResult:
         DELTA,
         faults=schedule,
         retry=retry,
-        adaptive=True,
+        adaptive=adaptive,
         seed=seed,
         autoscaler=AutoscalerConfig(
             interval=max(1.0, workload.duration / 30),

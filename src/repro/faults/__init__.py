@@ -27,6 +27,7 @@ It provides, bottom-up:
 from .controller import AdaptiveShaper, ControllerConfig
 from .harness import (
     RESILIENCE_POLICIES,
+    chaos_recipe,
     run_chaos,
     run_resilient,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "RetryPolicy",
     "SpikeStorm",
     "assert_conservation",
+    "chaos_recipe",
     "check_conservation",
     "random_schedule",
     "run_chaos",

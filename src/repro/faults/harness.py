@@ -29,11 +29,8 @@ from ..core.workload import Workload
 from ..obs.registry import MetricsRegistry
 from ..sched.registry import CLASSIFIER_FREE_POLICIES
 from ..record import RunRecord
-from ..sim.engine import Simulator
-from ..sim.source import WorkloadSource
-from ..stack import FaultPlan, RunConfig, attach_sampler, build_stack, require_adaptable
+from ..stack import FaultPlan, Run, RunConfig
 from .controller import ControllerConfig
-from .invariants import assert_conservation
 from .retry import RetryPolicy
 from .schedule import FaultSchedule, random_schedule
 
@@ -61,78 +58,74 @@ def run_resilient(
 ) -> RunRecord:
     """Serve ``workload`` under ``policy`` on a fault-injected stack.
 
-    The stack is :func:`~repro.stack.build_stack`'s for
-    ``RunConfig(cmin, delta_c, delta, metrics=, aqm=, aqm_shared=)``
+    One :class:`~repro.stack.Run` serves it, for ``RunConfig(cmin,
+    delta_c, delta, metrics=, sample_interval=, aqm=, aqm_shared=)``
     (validated there: e.g. ``aqm_shared`` without ``aqm`` is a
     :class:`~repro.exceptions.ConfigurationError`) with the fault plan
     ``(schedule, retry, inflight, seed)`` armed.  ``schedule`` drives the
     injector; ``retry`` arms the driver's timeout/retry path;
     ``adaptive=True`` installs an :class:`AdaptiveShaper` on the sampler
     cadence (``sample_interval`` defaults to ``delta`` when unset).  The
-    conservation invariant is asserted before returning.
+    conservation invariant is asserted before returning; a registry or
+    sampler fills the record's ``telemetry``.
 
     ``aqm`` arms a driver-level in-flight window (:mod:`repro.server.
     aqm`): crash-requeues and retries then re-enter through the
     scheduler and must re-acquire a window slot — backpressure instead
     of instantaneous requeue.  The ledger gains a ``window`` residency
-    bucket, asserted drained (zero) at end of run.
+    bucket; a window not drained at end of run raises
+    :class:`~repro.exceptions.SimulationError`.
     """
-    config = RunConfig(
-        cmin, delta_c, delta, metrics=metrics, aqm=aqm, aqm_shared=aqm_shared
-    )
-    schedule = schedule if schedule is not None else FaultSchedule()
-    sim = Simulator()
-    system = build_stack(
-        sim, policy, config, FaultPlan(schedule, retry, inflight, seed)
-    )
-    sampler = controller = None
-    if adaptive:
-        require_adaptable(policy, system)
-    if adaptive or sample_interval is not None:
-        interval = sample_interval if sample_interval is not None else delta
-        # Keep ticking past the arrival window so the controller can
-        # observe the post-fault recovery and restore the planned bound.
-        sampler, controller = attach_sampler(
-            sim,
-            system,
-            interval,
-            until=max(workload.duration, schedule.last_clear) + 20 * interval,
-            adaptive=adaptive,
-            controller_config=controller_config,
-            metrics=metrics,
-        )
-
-    source = WorkloadSource(sim, workload, system)
-    source.start()
-    sim.run()
-    if sampler is not None:
-        sampler.sample_now()
-
-    conservation = assert_conservation(
-        source.requests,
-        system.completed,
-        dropped=system.dropped,
-        shed=system.shed,
-    )
-    record = RunRecord.from_stack(
-        system,
+    run = Run(
         policy,
-        config,
-        workload_name=workload.name,
-        n_arrivals=len(source.requests),
-        schedule=schedule,
-        conservation=conservation,
-        degrades=controller.degrades if controller is not None else None,
-        recoveries=controller.recoveries if controller is not None else None,
-        samples=sampler.records if sampler is not None else [],
+        RunConfig(
+            cmin, delta_c, delta,
+            metrics=metrics, sample_interval=sample_interval,
+            aqm=aqm, aqm_shared=aqm_shared,
+        ),
+        FaultPlan(
+            schedule if schedule is not None else FaultSchedule(),
+            retry, inflight, seed,
+        ),
+        adaptive=adaptive,
+        controller_config=controller_config,
     )
-    residue = record.ledger.get("window", 0)
-    if residue:
-        raise AssertionError(
-            f"{policy}: window not drained at end of run "
-            f"({residue} requests still resident)"
-        )
-    return record
+    return run.record(run.replay(workload), workload_name=workload.name)
+
+
+def chaos_recipe(
+    policy: str,
+    delta: float,
+    seed: int,
+    horizon: float,
+    crashes: int = 1,
+    droops: int = 1,
+    storms: int = 1,
+) -> tuple[FaultSchedule, RetryPolicy, bool]:
+    """The chaos suite's ``(schedule, retry, adaptive)`` for one run.
+
+    A seeded schedule over ``[0, horizon]`` with one crash target per
+    service unit; generous retries (timeouts ``10·delta`` for Q1 and
+    ``40·delta`` for Q2, three attempts); and adaptive shaping for every
+    policy with an admission bound to steer — not the classifier-free
+    ones, nor splitfarm (its Q1 completions span both partitions).
+    """
+    schedule = random_schedule(
+        seed,
+        horizon=horizon,
+        crashes=crashes,
+        droops=droops,
+        storms=storms,
+        units=2 if policy in ("split", "splitfarm") else 1,
+    )
+    retry = RetryPolicy(
+        timeout_q1=10 * delta,
+        timeout_q2=40 * delta,
+        max_retries=3,
+        backoff_base=delta / 2,
+    )
+    adaptive = policy not in CLASSIFIER_FREE_POLICIES and policy != "splitfarm"
+    return schedule, retry, adaptive
 
 
 def run_chaos(
@@ -154,30 +147,13 @@ def run_chaos(
 ) -> RunRecord:
     """One chaos-suite run: derive a schedule from ``seed`` and go.
 
-    ``adaptive`` defaults to True for every adaptable classifying policy
-    and False for the classifier-free ones (FCFS/SRPT/Nudge/Boost have
-    no admission bound to steer) and for splitfarm (its Q1 completions
-    span both partitions).  The retry policy defaults to generous
-    per-class timeouts (``10·delta`` for Q1, ``40·delta`` for Q2) with
-    three retries.
+    The schedule, and the retry policy and ``adaptive`` choice when left
+    unset, come from :func:`chaos_recipe`.
     """
-    schedule = random_schedule(
-        seed,
-        horizon=workload.duration,
-        crashes=crashes,
-        droops=droops,
-        storms=storms,
-        units=2 if policy in ("split", "splitfarm") else 1,
+    schedule, default_retry, default_adaptive = chaos_recipe(
+        policy, delta, seed, workload.duration,
+        crashes=crashes, droops=droops, storms=storms,
     )
-    if retry is None:
-        retry = RetryPolicy(
-            timeout_q1=10 * delta,
-            timeout_q2=40 * delta,
-            max_retries=3,
-            backoff_base=delta / 2,
-        )
-    if adaptive is None:
-        adaptive = policy not in CLASSIFIER_FREE_POLICIES and policy != "splitfarm"
     return run_resilient(
         workload,
         policy,
@@ -185,8 +161,8 @@ def run_chaos(
         delta_c,
         delta,
         schedule=schedule,
-        retry=retry,
-        adaptive=adaptive,
+        retry=default_retry if retry is None else retry,
+        adaptive=default_adaptive if adaptive is None else adaptive,
         controller_config=controller_config,
         seed=seed,
         metrics=metrics,

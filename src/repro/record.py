@@ -5,10 +5,11 @@ distribution, the fraction within ``delta``, and the ``Q1`` deadline
 misses (Figures 5–8).  :class:`RunRecord` is that outcome, returned by
 ``run_policy`` (both engines), ``run_resilient``/``run_chaos``,
 ``run_closed_loop``, :class:`~repro.serve.harness.ServiceHarness` and
-``run_checked``.  :meth:`RunRecord.from_stack` reads a finished
-:func:`repro.stack.build_stack` stack, :meth:`RunRecord.from_batch` a
-:class:`repro.sim.batch.BatchRun`; outputs only one harness produces
-are optional fields.
+``run_checked``.  Every event-engine record is built by
+:meth:`repro.stack.Run.record` from a finished stack,
+:meth:`RunRecord.from_batch` reads a :class:`repro.sim.batch.BatchRun`;
+outputs only one harness produces are optional fields.  An observed run
+(a registry or a sampler attached) carries its :class:`RunTelemetry`.
 
 The per-arrival-index columns ``responses`` and ``admitted`` are derived
 on first access from data the run already holds (request lists or batch
@@ -29,14 +30,40 @@ import numpy as np
 from .core.request import QoSClass
 from .core.workload import Workload
 from .exceptions import ConfigurationError
+from .obs.export import export_run
+from .obs.registry import MetricsRegistry
 from .sim.stats import ResponseTimeCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .faults.invariants import ConservationReport
     from .faults.schedule import FaultSchedule
-    from .shaping import RunTelemetry
     from .sim.batch import BatchRun
     from .stack import RunConfig
+
+
+@dataclass(frozen=True)
+class RunTelemetry:
+    """Metrics and samples captured during one observed run.
+
+    Attributes
+    ----------
+    registry:
+        The run's metric registry (counters/gauges/histograms, final
+        values).
+    samples:
+        Periodic :class:`~repro.obs.sampler.Sampler` records — one dict
+        per tick plus a final end-of-run snapshot.
+    meta:
+        Run configuration echoed into the trace's ``meta`` line.
+    """
+
+    registry: MetricsRegistry
+    samples: list = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
+
+    def export(self, path) -> int:
+        """Write the JSONL trace (see :func:`repro.obs.export.export_run`)."""
+        return export_run(path, self.registry, self.samples, meta=self.meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +126,8 @@ class RunRecord:
     # -- optional outputs of single harnesses ---------------------------
     #: (bin_starts, completion rate IOPS) when rate recording was enabled.
     completion_series: tuple | None = None
-    #: Metrics + samples of an observed ``run_policy`` call.
+    #: Metrics + samples when a registry or sampler was attached.
     telemetry: RunTelemetry | None = None
-    #: Periodic sampler records (fault-armed and serving runs).
-    samples: list = field(repr=False, default_factory=list)
     schedule: FaultSchedule | None = None
     conservation: ConservationReport | None = None
     #: Adaptive-controller stats when one ran.
@@ -118,53 +143,6 @@ class RunRecord:
     horizon: float | None = None
     #: The columnar run behind a batch-engine record.
     batch: BatchRun | None = field(repr=False, default=None)
-
-    @classmethod
-    def from_stack(
-        cls,
-        system,
-        policy: str,
-        config: RunConfig,
-        *,
-        workload_name: str,
-        n_arrivals: int,
-        effective_delta: float | None = None,
-        **optional,
-    ) -> "RunRecord":
-        """Record a finished run of a :func:`~repro.stack.build_stack` stack.
-
-        ``config`` is the stack's configuration with the SLA ``delta``;
-        ``effective_delta`` is the deadline the stack actually enforced
-        when it differs.  ``optional`` fills the harness-specific fields.
-        """
-        by_class = system.by_class
-        classifier = system.classifier
-        return cls(
-            policy=policy,
-            workload_name=workload_name,
-            cmin=config.cmin,
-            delta_c=config.delta_c,
-            delta=config.delta,
-            effective_delta=(
-                config.delta if effective_delta is None else effective_delta
-            ),
-            n_arrivals=n_arrivals,
-            overall=system.overall,
-            primary=by_class[QoSClass.PRIMARY],
-            overflow=by_class[QoSClass.OVERFLOW],
-            primary_misses=system.primary_deadline_misses(),
-            ledger=dict(system.fault_ledger()),
-            completed=system.completed,
-            dropped=system.dropped,
-            shed=system.shed,
-            admission=config.admission,
-            aqm=config.aqm,
-            window=system.window_snapshot(),
-            demotions=system.demotions,
-            failovers=system.failovers,
-            final_limit=classifier.limit if classifier is not None else None,
-            **optional,
-        )
 
     @classmethod
     def from_batch(

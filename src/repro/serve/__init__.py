@@ -21,7 +21,7 @@ the offline simulator:
 
 from .admission import AdmissionDecision, AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig, ScalerDecision
-from .harness import ServiceHarness, StagedSource
+from .harness import ServiceHarness
 from .ingest import IngestServer
 from .placement import Node, PlacementPlan, PlacementPlanner, local_node
 
@@ -36,7 +36,6 @@ __all__ = [
     "PlacementPlanner",
     "ScalerDecision",
     "ServiceHarness",
-    "StagedSource",
     "Verdict",
     "local_node",
 ]

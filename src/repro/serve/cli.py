@@ -30,8 +30,7 @@ from ..check.corpus import load_golden
 from ..check.differential import serve_parity
 from ..core.workload import Workload
 from ..exceptions import ReproError
-from ..faults.retry import RetryPolicy
-from ..faults.schedule import random_schedule
+from ..faults.harness import chaos_recipe
 from ..record import RunRecord
 from ..shaping import WorkloadShaper
 from ..traces.library import load as load_library
@@ -147,18 +146,9 @@ def _cmd_chaos(args) -> int:
         cmin, delta_c, delta = hints
     else:
         cmin, delta_c, delta = _plan(workload, args)
-    schedule = random_schedule(
-        args.seed,
-        horizon=workload.duration,
-        units=2 if args.policy in ("split", "splitfarm") else 1,
+    schedule, retry, adaptive = chaos_recipe(
+        args.policy, delta, args.seed, workload.duration
     )
-    retry = RetryPolicy(
-        timeout_q1=10 * delta,
-        timeout_q2=40 * delta,
-        max_retries=3,
-        backoff_base=delta / 2,
-    )
-    adaptive = args.policy not in ("fcfs", "srpt", "nudge", "boost", "splitfarm")
     harness = ServiceHarness(
         args.policy,
         cmin,

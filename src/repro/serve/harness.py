@@ -9,16 +9,17 @@ makes the service a pure function of its inputs, which is what lets the
 differential harness (:func:`repro.check.differential.serve_parity`)
 certify **serve ≡ simulate, bit for bit**:
 
-* :class:`StagedSource` reproduces :class:`~repro.sim.source.
-  WorkloadSource`'s delivery semantics exactly — one pending event at a
-  time at arrival priority, the next arrival scheduled *before* the
-  current one is delivered, identical :class:`~repro.core.request.
-  Request` construction — while also accepting requests staged mid-run
-  (the ingestion path);
-* the serving stack comes from :func:`repro.stack.build_stack`, the
-  builder behind ``run_policy`` (healthy) and ``run_resilient`` (fault
-  mode), so event order, float operation order, and therefore every
-  response time are identical;
+* arrivals enter through an empty :class:`~repro.sim.source.
+  WorkloadSource` fed by :meth:`~repro.sim.source.WorkloadSource.stage`
+  — the same source ``run_policy`` replays a workload with, so delivery
+  semantics and :class:`~repro.core.request.Request` construction are
+  identical, while requests may also be staged mid-run (the ingestion
+  path);
+* the plane is driven by one :class:`repro.stack.Run`, the run loop
+  behind ``run_policy`` (healthy) and ``run_resilient`` (fault mode):
+  same stack, same sampler horizon rule, same record, so event order,
+  float operation order, and therefore every response time are
+  identical;
 * the admission service runs **predict-then-verify**: each delivery is
   preceded by a read-only :meth:`~repro.serve.admission.AdmissionService.
   decide` and followed by a check that the stack's authoritative
@@ -34,122 +35,19 @@ clock lands on the boundary — and every chunk edge doubles as an epoch
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..core.request import Request
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
-from ..faults.controller import AdaptiveShaper, ControllerConfig
-from ..faults.invariants import assert_conservation
+from ..faults.controller import ControllerConfig
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
-from ..obs.sampler import Sampler
 from ..record import RunRecord
-from ..sim.engine import Simulator
-from ..sim.events import PRIORITY_ARRIVAL
-from ..stack import FaultPlan, RunConfig, attach_sampler, build_stack, require_adaptable
+from ..sim.source import WorkloadSource
+from ..stack import FaultPlan, Run, RunConfig
 from .admission import AdmissionService, Verdict
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .placement import PlacementPlan
-
-
-class StagedSource:
-    """A :class:`~repro.sim.source.WorkloadSource` that accepts staging.
-
-    Replays records with the open-loop source's exact semantics (one
-    pending event, schedule-next-before-deliver, arrival priority) so a
-    staged replay of a workload is event-for-event identical to feeding
-    the same workload through ``run_policy``.  Unlike the workload
-    source, records may be staged *while the clock runs* — the ingestion
-    front end appends and, if the source had drained, re-arms it.
-    """
-
-    def __init__(self, sim: Simulator, sink, client_id: int = 0, on_request=None):
-        self.sim = sim
-        self.sink = sink
-        self.client_id = client_id
-        self.on_request = on_request
-        self._records: list[tuple[float, float | None]] = []
-        self._next = 0
-        self._started = False
-        self._armed = False
-        self.requests: list[Request] = []
-
-    def stage(self, arrival: float, size: float | None = None) -> int:
-        """Append one request record; returns its index.
-
-        Records must be staged in arrival order (the contract a sorted
-        :class:`~repro.core.workload.Workload` provides for free); a
-        live-staged arrival in the simulator's past is delivered *now*
-        (the ingest front end clamps, it cannot rewrite history).
-        """
-        arrival = float(arrival)
-        if self._records and arrival < self._records[-1][0]:
-            raise ConfigurationError(
-                f"staged arrival {arrival} precedes the last staged "
-                f"arrival {self._records[-1][0]}; stage in order"
-            )
-        if size is not None and size <= 0:
-            raise ConfigurationError(f"size must be positive, got {size}")
-        self._records.append((arrival, None if size is None else float(size)))
-        if self._started and not self._armed:
-            self._schedule_next()
-        return len(self._records) - 1
-
-    def stage_workload(self, workload: Workload) -> None:
-        """Stage every arrival of ``workload`` (sizes included)."""
-        sizes = workload.sizes
-        for i in range(workload.arrivals.size):
-            self.stage(
-                float(workload.arrivals[i]),
-                None if sizes is None else float(sizes[i]),
-            )
-
-    @property
-    def horizon(self) -> float:
-        """Latest staged arrival (0.0 when nothing is staged)."""
-        return self._records[-1][0] if self._records else 0.0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self._records)
-
-    def start(self) -> None:
-        self._started = True
-        if not self._armed:
-            self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        if self._next >= len(self._records):
-            return
-        t = max(float(self._records[self._next][0]), self.sim.now)
-        self.sim.schedule(t, self._fire, priority=PRIORITY_ARRIVAL)
-        self._armed = True
-
-    def _fire(self) -> None:
-        index = self._next
-        arrival, size = self._records[index]
-        if size is None:
-            request = Request(
-                arrival=float(arrival), index=index, client_id=self.client_id
-            )
-        else:
-            request = Request(
-                arrival=float(arrival),
-                index=index,
-                client_id=self.client_id,
-                service_demand=float(size),
-            )
-        self.requests.append(request)
-        self._next += 1
-        self._armed = False
-        # Mirror WorkloadSource: arm the next arrival before delivering
-        # this one so a synchronously-draining sink cannot starve us.
-        self._schedule_next()
-        if self.on_request is not None:
-            self.on_request(request)
-        self.sink.on_arrival(request)
 
 
 class ServiceHarness:
@@ -176,15 +74,17 @@ class ServiceHarness:
         ``AutoscalerConfig`` (a loop is built around the stack's
         classifier) or a prebuilt ``Autoscaler``; ``None`` disables.
     faults, retry, adaptive, controller_config, inflight, seed:
-        Arm the fault plane: the stack is built by
-        :func:`~repro.stack.build_stack` with the
-        :class:`~repro.stack.FaultPlan` ``(faults, retry, inflight,
-        seed)`` — the same stack ``run_resilient`` serves.
+        Arm the fault plane: the :class:`~repro.stack.Run` builds its
+        stack with the :class:`~repro.stack.FaultPlan` ``(faults, retry,
+        inflight, seed)`` — the same stack ``run_resilient`` serves.
     sample_interval:
-        Periodic probe sampling (defaults to ``delta`` in fault mode
-        when ``adaptive`` needs a sampler, else disabled).
+        Periodic probe sampling (defaults to the enforced deadline when
+        ``adaptive`` needs a sampler, else disabled).  Ticks stop at the
+        arrival horizon, or 20 intervals past the last fault clearing
+        when the fault plane is armed (:meth:`repro.stack.Run.arm`).
     metrics:
-        Optional registry; the harness adds ``serve.*`` counters.
+        Optional registry; the harness adds ``serve.*`` counters.  A
+        registry or sampler fills the record's ``telemetry``.
     """
 
     def __init__(
@@ -221,33 +121,30 @@ class ServiceHarness:
             )
         self.config = config = RunConfig(
             cmin, delta_c, delta,
-            metrics=metrics, admission=admission, aqm=aqm, aqm_shared=aqm_shared,
+            metrics=metrics, sample_interval=sample_interval,
+            admission=admission, aqm=aqm, aqm_shared=aqm_shared,
         )
         self.policy = policy
-        self.effective_delta = float(
+        self.effective_delta = effective_delta = float(
             placement.effective_delta if placement is not None else delta
         )
-        if self.effective_delta <= 0:
+        if effective_delta <= 0:
             raise ConfigurationError(
                 "placement latency consumes the whole deadline budget"
             )
-        self.metrics = metrics
-        self.schedule = faults
-        self.adaptive = bool(adaptive)
-        self.controller_config = controller_config
-        self.sample_interval = sample_interval
         self._user_on_request = on_request
-        fault_mode = faults is not None or retry is not None or self.adaptive
-        self.sim = Simulator()
-        self.system = build_stack(
-            self.sim,
+        fault_mode = faults is not None or retry is not None or adaptive
+        self._run = Run(
             policy,
-            replace(config, delta=self.effective_delta),
+            config,
             FaultPlan(faults, retry, inflight, seed) if fault_mode else None,
+            adaptive=bool(adaptive),
+            controller_config=controller_config,
+            effective_delta=effective_delta,
         )
+        self.sim = self._run.sim
+        self.system = self._run.system
         self.classifier = self.system.classifier
-        if self.adaptive:
-            require_adaptable(policy, self.system)
         # A reject replaces a *demotion*, so the saturation signal is the
         # window of the driver demoted work would land on.
         self.admission_service = AdmissionService(
@@ -264,19 +161,17 @@ class ServiceHarness:
                 )
             autoscaler = Autoscaler(
                 self.classifier,
-                self.effective_delta,
+                effective_delta,
                 config=autoscaler,
                 delta_c=config.delta_c,
                 metrics=metrics,
             )
         self.autoscaler = autoscaler
-        self.source = StagedSource(self.sim, self._gate(), on_request=self._on_request)
+        self.source = WorkloadSource(self.sim, None, self)
         self.delivered: list[Request] = []
         self.rejected: list[Request] = []
         self.violations: list[str] = []
         self.audits: list[tuple[float, int]] = []
-        self.sampler: Sampler | None = None
-        self.controller: AdaptiveShaper | None = None
         self._started = False
         registry = metrics if metrics is not None else NULL_REGISTRY
         self._m_ingested = registry.counter("serve.ingested")
@@ -287,22 +182,6 @@ class ServiceHarness:
     # ------------------------------------------------------------------
     # Ingestion and delivery (predict-then-verify)
     # ------------------------------------------------------------------
-
-    def _gate(self):
-        harness = self
-
-        class _Gate:
-            def on_arrival(self, request: Request) -> None:
-                harness._deliver(request)
-
-        return _Gate()
-
-    def _on_request(self, request: Request) -> None:
-        self._m_ingested.inc()
-        if self.autoscaler is not None:
-            self.autoscaler.observe(request)
-        if self._user_on_request is not None:
-            self._user_on_request(request)
 
     def _deliver(self, request: Request) -> None:
         decision = self.admission_service.decide(request)
@@ -328,12 +207,16 @@ class ServiceHarness:
         else:
             self.system.on_arrival(request)
 
-    # Public sink surface: the harness itself can serve as the sink of a
-    # closed-loop population (repro.sim.source.ClosedLoopSource), whose
-    # externally-built requests then flow through the same admission
-    # gate as staged ones.
+    # The harness is the sink of its own source and can serve as the
+    # sink of a closed-loop population (repro.sim.source.ClosedLoopSource),
+    # whose externally-built requests then flow through the same
+    # admission gate as staged ones.
     def on_arrival(self, request: Request) -> None:
-        self._on_request(request)
+        self._m_ingested.inc()
+        if self.autoscaler is not None:
+            self.autoscaler.observe(request)
+        if self._user_on_request is not None:
+            self._user_on_request(request)
         self._deliver(request)
 
     def add_completion_hook(self, hook) -> None:
@@ -347,22 +230,7 @@ class ServiceHarness:
         if self._started:
             return
         self._started = True
-        if self.adaptive or self.sample_interval is not None:
-            interval = (
-                self.sample_interval
-                if self.sample_interval is not None
-                else self.effective_delta
-            )
-            last_clear = self.schedule.last_clear if self.schedule else 0.0
-            self.sampler, self.controller = attach_sampler(
-                self.sim,
-                self.system,
-                interval,
-                until=max(horizon, last_clear) + 20 * interval,
-                adaptive=self.adaptive,
-                controller_config=self.controller_config,
-                metrics=self.metrics,
-            )
+        self._run.arm(horizon)
         if self.autoscaler is not None and self.autoscaler.config.mode != "off":
             self.sim.every(
                 self.autoscaler.config.interval,
@@ -393,9 +261,7 @@ class ServiceHarness:
             for i in range(1, chunks):
                 self.sim.run(until=span * i / chunks)
                 self.audit()
-        self.sim.run()
-        if self.sampler is not None:
-            self.sampler.sample_now()
+        self._run.finish()
         self.audit(final=True)
         return self.result()
 
@@ -420,7 +286,8 @@ class ServiceHarness:
         ``injected == rejected + completed + dropped + shed + window +
         outstanding`` with ``outstanding >= 0`` must hold at *every*
         instant; the final audit (all sources drained) also demands
-        ``outstanding == 0`` and an empty device window.
+        ``outstanding == 0`` (the record then demands an empty device
+        window).
         """
         ledger = self.system.fault_ledger()
         terminal = ledger["completed"] + ledger["dropped"] + ledger["shed"]
@@ -440,11 +307,6 @@ class ServiceHarness:
                     f"end-of-run audit: {outstanding} requests neither "
                     "completed nor accounted as dropped/shed/rejected"
                 )
-            if self.config.aqm is not None and resident != 0:
-                raise SimulationError(
-                    f"device window not drained at end of run "
-                    f"({resident} resident)"
-                )
         self.audits.append((now, outstanding))
         return outstanding
 
@@ -455,39 +317,15 @@ class ServiceHarness:
         request (rejected ones never entered the stack and must not
         appear in any terminal bucket).
         """
-        system = self.system
-        conservation = assert_conservation(
+        return self._run.record(
             self.delivered,
-            system.completed,
-            dropped=system.dropped,
-            shed=system.shed,
-        )
-        terminal_ids = (
-            {id(r) for r in system.completed}
-            | {id(r) for r in system.dropped}
-            | {id(r) for r in system.shed}
-        )
-        for request in self.rejected:
-            if id(request) in terminal_ids:
-                raise SimulationError(
-                    f"rejected request {request.index} leaked into the stack"
-                )
-        return RunRecord.from_stack(
-            system,
-            self.policy,
-            self.config,
             workload_name=getattr(self, "_workload_name", "staged"),
-            n_arrivals=len(self.delivered) + len(self.rejected),
-            effective_delta=self.effective_delta,
-            rejected=list(self.rejected),
+            rejected=self.rejected,
             violations=tuple(self.violations),
             decisions={
                 v.value: n for v, n in self.admission_service.decided.items()
             },
-            conservation=conservation,
             audits=tuple(self.audits),
-            schedule=self.schedule,
-            samples=self.sampler.records if self.sampler is not None else [],
             autoscaler_decisions=(
                 tuple(self.autoscaler.decisions)
                 if self.autoscaler is not None

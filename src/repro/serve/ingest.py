@@ -9,9 +9,10 @@ The wire format is newline-delimited JSON — one object per request:
 Both fields are optional: a missing ``arrival`` stamps the submission at
 the harness's current virtual time, a missing ``size`` means unit
 demand.  Each accepted line is staged into the harness's
-:class:`~repro.serve.harness.StagedSource` — entering the serving plane
-through exactly the same admission gate as a replayed trace — and
-answered with the staged index:
+:class:`~repro.sim.source.WorkloadSource` (:meth:`~repro.sim.source.
+WorkloadSource.stage`) — entering the serving plane through exactly the
+same admission gate as a replayed trace — and answered with the staged
+index:
 
 .. code-block:: json
 

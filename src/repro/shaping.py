@@ -8,7 +8,9 @@ the paper's system does:
 2. **Decompose** it with RTT into guaranteed and overflow classes.
 3. **Recombine and serve** under a policy — ``fcfs``, ``split``,
    ``fairqueue``, ``wf2q`` or ``miser`` — on a simulated server of
-   capacity ``Cmin + delta_C``, measuring the response-time distribution.
+   capacity ``Cmin + delta_C``, measuring the response-time distribution
+   (:func:`run_policy`: the columnar batch engine when the run
+   qualifies, else one :class:`repro.stack.Run` of the event engine).
 
 Example
 -------
@@ -24,49 +26,19 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core.capacity import CapacityPlan, CapacityPlanner
 from .core.rtt import DecompositionResult, decompose
 from .core.workload import Workload
 from .exceptions import ConfigurationError, SimulationError
-from .obs.export import export_run
-from .obs.registry import MetricsRegistry
-from .obs.sampler import Sampler
 from .record import RunRecord
 from .sched.registry import ALL_POLICIES
 from .sim import batch
-from .sim.engine import Simulator
-from .sim.source import WorkloadSource
-from .stack import RunConfig, attach_sampler, build_stack
+from .stack import Run, RunConfig
 
 #: Planners kept strongly alive by a :class:`WorkloadShaper` (LRU).
 PLANNER_CACHE_SIZE = 8
-
-
-@dataclass(frozen=True)
-class RunTelemetry:
-    """Metrics and samples captured during one :func:`run_policy` call.
-
-    Attributes
-    ----------
-    registry:
-        The run's metric registry (counters/gauges/histograms, final
-        values).
-    samples:
-        Periodic :class:`~repro.obs.sampler.Sampler` records — one dict
-        per tick plus a final end-of-run snapshot.
-    meta:
-        Run configuration echoed into the trace's ``meta`` line.
-    """
-
-    registry: MetricsRegistry
-    samples: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def export(self, path) -> int:
-        """Write the JSONL trace (see :func:`repro.obs.export.export_run`)."""
-        return export_run(path, self.registry, self.samples, meta=self.meta)
 
 
 def run_policy(
@@ -86,12 +58,12 @@ def run_policy(
     engine selection, admission mode and the device window are
     :class:`RunConfig` fields.
 
-    The stack comes from :func:`repro.stack.build_stack` (capacity
-    allocation per Section 4.3).  ``config.metrics`` threads a registry
-    through the driver(s) and scheduler; ``config.sample_interval``
-    additionally installs a periodic :class:`~repro.obs.sampler.Sampler`
-    with the standard probe set.  Either one populates
-    ``RunRecord.telemetry``.
+    The event path is one :class:`repro.stack.Run` (capacity allocation
+    per Section 4.3).  ``config.metrics`` threads a registry through the
+    driver(s) and scheduler; ``config.sample_interval`` additionally
+    installs a periodic :class:`~repro.obs.sampler.Sampler` with the
+    standard probe set, ticking over the arrival window.  Either one
+    populates ``RunRecord.telemetry``.
 
     The run takes the columnar batch engine exactly when the
     configuration qualifies (:func:`repro.sim.batch.supports`: an FCFS
@@ -135,66 +107,14 @@ def run_policy(
                 "(use engine='auto' to fall back to the event engine)"
             )
     if record is None:
-        record = _run_policy_events(workload, policy, config)
+        run = Run(policy, config)
+        record = run.record(run.replay(workload), workload_name=workload.name)
     done = record.ledger["completed"]
     if done != len(workload):
         raise SimulationError(
             f"{policy}: {done} of {len(workload)} requests completed"
         )
     return record
-
-
-def _run_policy_events(
-    workload: Workload, policy: str, config: RunConfig
-) -> RunRecord:
-    """Event-engine path of :func:`run_policy`."""
-    metrics = config.metrics
-    sample_interval = config.sample_interval
-    sim = Simulator()
-    system = build_stack(sim, policy, config)
-    sampler: Sampler | None = None
-    if sample_interval is not None:
-        # Periodic ticks cover the arrival window; the drain tail past
-        # ``duration`` is captured by the final snapshot below.
-        sampler, _ = attach_sampler(
-            sim, system, sample_interval, until=workload.duration
-        )
-
-    source = WorkloadSource(sim, workload, system)
-    source.start()
-    sim.run()
-    if sampler is not None:
-        sampler.sample_now()
-
-    telemetry: RunTelemetry | None = None
-    if metrics is not None or sampler is not None:
-        telemetry = RunTelemetry(
-            registry=metrics if metrics is not None else system.metrics,
-            samples=sampler.records if sampler is not None else [],
-            meta={
-                "policy": policy,
-                "workload": workload.name,
-                "requests": len(workload),
-                "cmin": config.cmin,
-                "delta_c": config.delta_c,
-                "delta": config.delta,
-                "duration": workload.duration,
-                "sample_interval": sample_interval,
-            },
-        )
-    return RunRecord.from_stack(
-        system,
-        policy,
-        config,
-        workload_name=workload.name,
-        n_arrivals=len(workload),
-        completion_series=(
-            system.completion_rates.series()
-            if config.record_rates is not None
-            else None
-        ),
-        telemetry=telemetry,
-    )
 
 
 def run_policy_batch(

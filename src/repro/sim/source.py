@@ -1,10 +1,13 @@
 """Workload sources: feed arrival streams into the simulation.
 
-A :class:`WorkloadSource` replays a :class:`~repro.core.workload.Workload`
-into a sink (normally a :class:`~repro.server.driver.DeviceDriver`),
-creating one :class:`~repro.core.request.Request` per arrival.  Arrivals
-are injected lazily — one pending event at a time — so memory stays O(1)
-in the trace length beyond the trace itself.
+A :class:`WorkloadSource` delivers arrival records into a sink
+(normally a :class:`~repro.server.driver.DeviceDriver`), creating one
+:class:`~repro.core.request.Request` per arrival.  Its records are a
+:class:`~repro.core.workload.Workload`'s columns (replay), or records
+staged one at a time while the clock runs (the serving plane's
+ingestion path).  Arrivals are injected lazily — one pending event at a
+time — so memory stays O(1) in the trace length beyond the records
+themselves.
 
 :class:`ClosedLoopSource` is the other traffic shape: instead of
 replaying a pre-materialized arrival array (open loop), it models N users
@@ -38,18 +41,26 @@ class RequestSink(Protocol):
 
 
 class WorkloadSource:
-    """Replays a workload's arrivals into a sink at their trace instants.
+    """Delivers arrival records into a sink at their instants.
 
-    Sized workloads are honored: when the workload carries a ``sizes``
-    column, each materialized request gets the matching
-    ``service_demand``.  Unsized workloads produce the default demand of
-    1.0 — the identical requests this source always produced.
+    A source built on a :class:`~repro.core.workload.Workload` replays
+    its numpy columns in place; one built on ``None`` starts empty and
+    is fed by :meth:`stage`/:meth:`stage_workload` (the serving plane's
+    ingestion path), which may append records even while the clock
+    runs.  Either way delivery is the same: one pending event at a time
+    at arrival priority, the next arrival scheduled *before* the current
+    one is delivered, so a staged replay of a workload is event-for-event
+    identical to replaying the workload itself.
+
+    Sized records are honored: each materialized request gets the
+    record's ``service_demand``; an unsized record gets the default
+    demand of 1.0.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        workload: Workload,
+        workload: Workload | None,
         sink: RequestSink,
         client_id: int = 0,
         on_request: Callable[[Request], None] | None = None,
@@ -59,48 +70,91 @@ class WorkloadSource:
         self.sink = sink
         self.client_id = client_id
         self.on_request = on_request
-        self._arrivals = workload.arrivals
-        self._sizes = workload.sizes
+        if workload is None:
+            self._arrivals: list | np.ndarray = []
+            self._sizes: list | np.ndarray | None = None
+        else:  # read in place: replay allocates nothing per record
+            self._arrivals = workload.arrivals
+            self._sizes = workload.sizes
         self._next = 0
+        self._started = False
+        self._armed = False
         self.requests: list[Request] = []
+
+    def stage(self, arrival: float, size: float | None = None) -> int:
+        """Append one arrival record to a source built on ``None``;
+        returns its index.
+
+        Records must be staged in arrival order (the contract a sorted
+        :class:`~repro.core.workload.Workload` provides for free); a
+        live-staged arrival in the simulator's past is delivered *now*
+        (the ingest front end clamps, it cannot rewrite history).
+        """
+        arrival = float(arrival)
+        arrivals = self._arrivals
+        if arrivals and arrival < arrivals[-1]:
+            raise ConfigurationError(
+                f"staged arrival {arrival} precedes the last staged "
+                f"arrival {arrivals[-1]}; stage in order"
+            )
+        if size is not None and size <= 0:
+            raise ConfigurationError(f"size must be positive, got {size}")
+        if size is not None and self._sizes is None:
+            self._sizes = [None] * len(arrivals)
+        arrivals.append(arrival)
+        if self._sizes is not None:
+            self._sizes.append(None if size is None else float(size))
+        if self._started and not self._armed:
+            self._schedule_next()
+        return len(arrivals) - 1
+
+    def stage_workload(self, workload: Workload) -> None:
+        """Stage every arrival of ``workload`` (sizes included)."""
+        sizes = None if workload.sizes is None else workload.sizes.tolist()
+        for i, arrival in enumerate(workload.arrivals.tolist()):
+            self.stage(arrival, None if sizes is None else sizes[i])
+
+    @property
+    def horizon(self) -> float:
+        """Latest arrival record (0.0 when there is none)."""
+        return float(self._arrivals[-1]) if len(self._arrivals) else 0.0
+
+    @property
+    def exhausted(self) -> bool:
+        return self._next >= len(self._arrivals)
 
     def start(self) -> None:
         """Arm the source; call before ``sim.run()``."""
-        self._schedule_next()
+        self._started = True
+        if not self._armed:
+            self._schedule_next()
 
     def _schedule_next(self) -> None:
-        if self._next >= self._arrivals.size:
+        if self._next >= len(self._arrivals):
             return
         t = float(self._arrivals[self._next])
-        self.sim.schedule(t, self._fire, priority=PRIORITY_ARRIVAL)
+        now = self.sim.now
+        self.sim.schedule(t if t >= now else now, self._fire, priority=PRIORITY_ARRIVAL)
+        self._armed = True
 
     def _fire(self) -> None:
         index = self._next
-        if self._sizes is None:
-            request = Request(
-                arrival=float(self._arrivals[index]),
-                index=index,
-                client_id=self.client_id,
-            )
-        else:
-            request = Request(
-                arrival=float(self._arrivals[index]),
-                index=index,
-                client_id=self.client_id,
-                service_demand=float(self._sizes[index]),
-            )
+        size = None if self._sizes is None else self._sizes[index]
+        request = Request(
+            arrival=float(self._arrivals[index]),
+            index=index,
+            client_id=self.client_id,
+            service_demand=1.0 if size is None else float(size),
+        )
         self.requests.append(request)
         self._next += 1
+        self._armed = False
         # Schedule the next arrival *before* delivering this one so a sink
         # that drains the queue synchronously cannot starve the source.
         self._schedule_next()
         if self.on_request is not None:
             self.on_request(request)
         self.sink.on_arrival(request)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= self._arrivals.size
 
 
 class ClosedLoopSource:

@@ -1,14 +1,18 @@
-"""The one place the serving stack is built.
+"""The one place the serving stack is built and run.
 
 The paper's system is one pipeline: the online RTT classifier, a
 recombiner (a single-server scheduler, or the Split topology), and a
 server of capacity ``Cmin + ΔC``.  :func:`build_stack` assembles that
-pipeline for every run layer — :func:`repro.shaping.run_policy`'s event
+pipeline from one validated :class:`RunConfig`, and :class:`Run` runs
+it: the simulator, the probe sampler and adaptive controller, the
+conservation verdict and the :class:`~repro.record.RunRecord`.  Every
+event-engine entry point — :func:`repro.shaping.run_policy`'s event
 path, :func:`repro.faults.harness.run_resilient`,
 :func:`repro.workload.closedloop.run_closed_loop`,
-:class:`repro.serve.harness.ServiceHarness` and the differential checks
-in :mod:`repro.check.differential` — from one validated
-:class:`RunConfig`.  Variations are inputs, not copies:
+:class:`repro.serve.harness.ServiceHarness` and
+:func:`repro.check.differential.run_checked` — makes a :class:`Run`,
+starts its own traffic, finishes and records.  Variations are inputs,
+not copies:
 
 * the **policy** picks the topology: a :class:`~repro.server.driver.
   DeviceDriver` around :func:`~repro.sched.registry.make_scheduler`, or
@@ -31,12 +35,16 @@ Whatever comes back speaks one protocol: ``drivers``, ``loop_driver``
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
-from .exceptions import ConfigurationError
+from .core.request import QoSClass, Request
+from .core.workload import Workload
+from .exceptions import ConfigurationError, SimulationError
 from .obs.registry import MetricsRegistry
 from .obs.sampler import Sampler, attach_standard_probes
 from .perf.engines import ENGINES
+from .record import RunRecord, RunTelemetry
 from .sched.base import Scheduler
 from .sched.registry import SINGLE_SERVER_POLICIES, make_scheduler
 from .server.aqm import AQM_POLICIES, make_window
@@ -47,6 +55,7 @@ from .server.driver import DeviceDriver
 from .server.sizesplit import SizeSplitSystem
 from .sim.engine import Simulator
 from .sim.rng import derive_seed
+from .sim.source import WorkloadSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> stack)
     from .faults.controller import AdaptiveShaper, ControllerConfig
@@ -248,51 +257,204 @@ def build_stack(
     return system
 
 
-def require_adaptable(policy: str, system) -> None:
-    """Raise unless the adaptive controller can steer ``system``."""
-    if policy == "splitfarm":
-        raise ConfigurationError(
-            "adaptive control is not supported for splitfarm: Q1 "
-            "completions span both size partitions, so no single "
-            "driver carries the controller's inputs"
-        )
-    if system.classifier is None:
-        raise ConfigurationError(
-            f"policy {policy!r} has no admission bound to adapt (use a "
-            "classifying policy or adaptive=False)"
-        )
+class Run:
+    """One run of one stack: :meth:`arm`, start traffic, :meth:`finish`,
+    :meth:`record`.
 
-
-def attach_sampler(
-    sim: Simulator,
-    system,
-    interval: float,
-    until: float,
-    adaptive: bool = False,
-    controller_config: "ControllerConfig | None" = None,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[Sampler, "AdaptiveShaper | None"]:
-    """Install the standard probe sampler, ticking until ``until``.
-
-    Each caller passes its own horizon: the arrival window for plain
-    runs, or past the last fault clearing for chaos runs so the
-    controller can observe recovery.  ``adaptive=True`` also installs an
-    :class:`~repro.faults.controller.AdaptiveShaper` on the sampler's
-    cadence, reading ``system.loop_driver`` and shedding from
-    ``system.demotion_target``.
+    ``config`` carries the SLA ``delta``; ``effective_delta`` is the
+    deadline the stack enforces when it differs (a placement latency
+    charge).  ``adaptive=True`` steers the classifier's admission bound
+    on the sampler's cadence with an
+    :class:`~repro.faults.controller.AdaptiveShaper` (tuned by
+    ``controller_config``); the sampling interval then defaults to the
+    enforced deadline.
     """
-    sampler = Sampler(sim, interval)
-    attach_standard_probes(sampler, system)
-    sampler.install(until=until)
-    controller = None
-    if adaptive:
-        from .faults.controller import AdaptiveShaper
 
-        controller = AdaptiveShaper(
-            driver=system.loop_driver,
-            classifier=system.classifier,
-            config=controller_config,
-            metrics=metrics,
-            shed_from=system.demotion_target,
-        ).install(sampler)
-    return sampler, controller
+    def __init__(
+        self,
+        policy: str,
+        config: RunConfig,
+        faults: FaultPlan | None = None,
+        *,
+        adaptive: bool = False,
+        controller_config: "ControllerConfig | None" = None,
+        wrap_scheduler: Callable[[Scheduler], Scheduler] | None = None,
+        effective_delta: float | None = None,
+    ):
+        self.policy = policy
+        #: The SLA configuration the record reports (``delta`` unreduced).
+        self.config = config
+        self.faults = faults
+        self.effective_delta = config.delta
+        if effective_delta is not None:
+            self.effective_delta = effective_delta
+            config = replace(config, delta=effective_delta)
+        self.sim = Simulator()
+        self.system = build_stack(self.sim, policy, config, faults, wrap_scheduler)
+        if adaptive:
+            if policy == "splitfarm":
+                raise ConfigurationError(
+                    "adaptive control is not supported for splitfarm: Q1 "
+                    "completions span both size partitions, so no single "
+                    "driver carries the controller's inputs"
+                )
+            if self.system.classifier is None:
+                raise ConfigurationError(
+                    f"policy {policy!r} has no admission bound to adapt (use a "
+                    "classifying policy or adaptive=False)"
+                )
+        self.adaptive = adaptive
+        self.controller_config = controller_config
+        self.horizon = 0.0
+        self.interval: float | None = None
+        self.sampler: Sampler | None = None
+        self.controller: "AdaptiveShaper | None" = None
+
+    def arm(self, horizon: float) -> None:
+        """Install the sampler (and controller) for arrivals ending at ``horizon``.
+
+        Ticks stop at ``horizon``; with a fault plan armed they go on
+        for 20 intervals past ``max(horizon, last_clear)`` so the
+        controller can observe the post-fault recovery and restore the
+        planned bound.  Call before the traffic starts.
+        """
+        self.horizon = horizon
+        interval = self.config.sample_interval
+        if interval is None and self.adaptive:
+            interval = self.effective_delta
+        if interval is None:
+            return
+        until = horizon
+        if self.faults is not None:
+            schedule = self.faults.schedule
+            last_clear = schedule.last_clear if schedule is not None else 0.0
+            until = max(horizon, last_clear) + 20 * interval
+        self.interval = interval
+        self.sampler = Sampler(self.sim, interval)
+        attach_standard_probes(self.sampler, self.system)
+        self.sampler.install(until=until)
+        if self.adaptive:
+            from .faults.controller import AdaptiveShaper
+
+            self.controller = AdaptiveShaper(
+                driver=self.system.loop_driver,
+                classifier=self.system.classifier,
+                config=self.controller_config,
+                metrics=self.config.metrics,
+                shed_from=self.system.demotion_target,
+            ).install(self.sampler)
+
+    def finish(self) -> None:
+        """Run the clock dry and take the end-of-run sample."""
+        self.sim.run()
+        if self.sampler is not None:
+            self.sampler.sample_now()
+
+    def replay(self, workload: Workload) -> list[Request]:
+        """Serve ``workload``'s arrivals to the end; returns the requests."""
+        source = WorkloadSource(self.sim, workload, self.system)
+        self.arm(workload.duration)
+        source.start()
+        self.finish()
+        return source.requests
+
+    def record(
+        self,
+        injected: list,
+        *,
+        workload_name: str,
+        rejected: list | None = None,
+        **optional,
+    ) -> RunRecord:
+        """Audit the finished run and return its :class:`RunRecord`.
+
+        ``injected`` are the requests that entered the stack; ``rejected``
+        those refused before it (the serving plane's door).  A
+        fault-armed run, or one that could refuse (``rejected`` given),
+        is audited by identity with
+        :func:`~repro.faults.invariants.assert_conservation`, and no
+        rejected request may turn up in a terminal bucket; any other run
+        reports its count verdict through :meth:`RunRecord.conserved`.
+        A device window still holding requests raises
+        :class:`~repro.exceptions.SimulationError` on every run.
+        ``optional`` fills the harness-specific record fields.
+        """
+        system, config, policy = self.system, self.config, self.policy
+        conservation = None
+        if self.faults is not None or rejected is not None:
+            from .faults.invariants import assert_conservation
+
+            conservation = assert_conservation(
+                injected, system.completed, dropped=system.dropped, shed=system.shed
+            )
+            if rejected:
+                terminal = {
+                    id(r) for r in chain(system.completed, system.dropped, system.shed)
+                }
+                for request in rejected:
+                    if id(request) in terminal:
+                        raise SimulationError(
+                            f"rejected request {request.index} leaked into the stack"
+                        )
+        ledger = dict(system.fault_ledger())
+        if ledger.get("window", 0):
+            raise SimulationError(
+                f"{policy}: window not drained at end of run "
+                f"({ledger['window']} requests still resident)"
+            )
+        rejected = list(rejected or ())
+        n_arrivals = len(injected) + len(rejected)
+        telemetry = None
+        if config.metrics is not None or self.sampler is not None:
+            telemetry = RunTelemetry(
+                registry=system.metrics if config.metrics is None else config.metrics,
+                samples=self.sampler.records if self.sampler is not None else [],
+                meta={
+                    "policy": policy,
+                    "workload": workload_name,
+                    "requests": n_arrivals,
+                    "cmin": config.cmin,
+                    "delta_c": config.delta_c,
+                    "delta": config.delta,
+                    "duration": self.horizon,
+                    "sample_interval": self.interval,
+                },
+            )
+        controller = self.controller
+        classifier = system.classifier
+        by_class = system.by_class
+        return RunRecord(
+            policy=policy,
+            workload_name=workload_name,
+            cmin=config.cmin,
+            delta_c=config.delta_c,
+            delta=config.delta,
+            effective_delta=self.effective_delta,
+            n_arrivals=n_arrivals,
+            overall=system.overall,
+            primary=by_class[QoSClass.PRIMARY],
+            overflow=by_class[QoSClass.OVERFLOW],
+            primary_misses=system.primary_deadline_misses(),
+            ledger=ledger,
+            completed=system.completed,
+            dropped=system.dropped,
+            shed=system.shed,
+            rejected=rejected,
+            admission=config.admission,
+            aqm=config.aqm,
+            window=system.window_snapshot(),
+            demotions=system.demotions,
+            failovers=system.failovers,
+            final_limit=classifier.limit if classifier is not None else None,
+            completion_series=(
+                system.completion_rates.series()
+                if config.record_rates is not None
+                else None
+            ),
+            telemetry=telemetry,
+            schedule=self.faults.schedule if self.faults is not None else None,
+            conservation=conservation,
+            degrades=controller.degrades if controller is not None else None,
+            recoveries=controller.recoveries if controller is not None else None,
+            **optional,
+        )

@@ -18,9 +18,8 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, SimulationError
 from ..record import RunRecord
-from ..sim.engine import Simulator
 from ..sim.source import ClosedLoopSource
-from ..stack import RunConfig, build_stack
+from ..stack import Run, RunConfig
 
 
 def run_closed_loop(
@@ -40,8 +39,9 @@ def run_closed_loop(
     :meth:`~repro.record.RunRecord.observed_workload` apply.
 
     ``config`` supplies the capacity plan (``cmin``, ``delta_c``,
-    ``delta``), admission mode and device window; observability fields
-    and ``engine="batch"`` are rejected (closed-loop runs are
+    ``delta``), admission mode, device window and observability (a
+    registry or a sampler over ``[0, horizon]`` fills the record's
+    ``telemetry``); ``engine="batch"`` is rejected (closed-loop runs are
     scalar-engine by nature — the batch engine needs the arrival column
     up front, which closed-loop traffic only yields after the fact).
 
@@ -49,42 +49,29 @@ def run_closed_loop(
     ``(rng, n)`` sampler from :mod:`repro.workload.sizes`, drawn one
     request at a time from each user's own stream.
     """
-    if config.record_rates is not None or config.metrics is not None or (
-        config.sample_interval is not None
-    ):
-        raise ConfigurationError(
-            "closed-loop runs do not support observability options; "
-            "use a plain RunConfig(cmin, delta_c, delta)"
-        )
     if config.engine == "batch":
         raise ConfigurationError(
             "closed-loop runs need the event engine: the batch engine needs "
             "the arrival column up front"
         )
-    sim = Simulator()
-    system = build_stack(sim, policy, config)
-
-    sampler = None
-    if demand_sampler is not None:
-        sampler = _per_request(demand_sampler)
+    run = Run(policy, config)
     source = ClosedLoopSource(
-        sim,
-        system,
+        run.sim,
+        run.system,
         n_users=n_users,
         think_time=think_time,
         horizon=horizon,
         seed=seed,
-        demand_sampler=sampler,
+        demand_sampler=(
+            None if demand_sampler is None else _per_request(demand_sampler)
+        ),
     )
+    run.arm(horizon)
     source.start()
-    sim.run()
-
-    record = RunRecord.from_stack(
-        system,
-        policy,
-        config,
+    run.finish()
+    record = run.record(
+        source.requests,
         workload_name=f"closed-loop-{policy}-{n_users}u",
-        n_arrivals=len(source.requests),
         submitted=source.requests,
         horizon=horizon,
     )

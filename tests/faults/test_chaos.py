@@ -122,7 +122,7 @@ class TestRestoration:
         result = run_chaos(workload, "miser", CMIN, DELTA_C, DELTA, seed=1)
         assert result.degrades is not None and result.degrades > 0
         assert result.recoveries is not None and result.recoveries > 0
-        assert result.samples, "adaptive run must carry sampler records"
+        assert result.telemetry.samples, "adaptive run must carry sampler records"
 
     def test_planned_bound_restored_after_faults(self, workload):
         """The final classifier limit equals the planned C*delta bound —
@@ -153,9 +153,11 @@ class TestDeterminism:
 class TestHealthyPathIdentical:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_bit_identical_to_run_policy(self, workload, policy):
-        """No faults, no retry, no controller: the resilient stack — and
-        the fault-armed serving plane with an empty schedule — must
-        reproduce run_policy's response times exactly."""
+        """No faults, no retry, no controller: the resilient stack, the
+        fault-armed serving plane with an empty schedule, and the
+        invariant-audited run (its checking scheduler a pure observer)
+        must reproduce run_policy's response times exactly."""
+        from repro.check import run_checked
         from repro.faults import FaultSchedule
         from repro.record import compare_records
         from repro.serve import ServiceHarness
@@ -166,7 +168,9 @@ class TestHealthyPathIdentical:
         served = ServiceHarness(
             policy, CMIN, DELTA_C, DELTA, faults=FaultSchedule()
         ).replay(workload, chunks=3)
-        for other in (resilient, served):
+        checked = run_checked(workload, policy, CMIN, DELTA_C, DELTA)
+        assert not checked.violations, [str(v) for v in checked.violations]
+        for other in (resilient, served, checked):
             report = compare_records(plain, other)
             assert report.ok and report.bit_identical, report.summary()
             # Collector sample order too: downstream digests see it.

@@ -160,3 +160,42 @@ class TestUnobservedRuns:
         # No registry: counter columns are absent, state probes present.
         assert "arrivals" not in telemetry.samples[0]
         assert "queue_depth" in telemetry.samples[0]
+
+
+class TestTelemetryOnEveryPath:
+    """Chaos and serving runs carry the same exportable telemetry as
+    ``run_policy``: one ``RunRecord.telemetry``, one horizon rule."""
+
+    @pytest.mark.parametrize("policy", ["fairqueue", "miser"])
+    def test_fault_armed_runs_export_reconciling_traces(
+        self, workload, policy, tmp_path
+    ):
+        from repro.faults import chaos_recipe, run_resilient
+        from repro.obs import summarize_file
+        from repro.serve import ServiceHarness
+
+        # Droops and spike storms only: a crash requeues the in-flight
+        # request without a new arrival, which the depth identity does
+        # not count.
+        schedule, retry, adaptive = chaos_recipe(
+            policy, 0.05, 1, workload.duration, crashes=0
+        )
+        faults = dict(retry=retry, adaptive=adaptive, sample_interval=0.25)
+        resilient = run_resilient(
+            workload, policy, 120.0, 25.0, 0.05,
+            schedule=schedule, metrics=MetricsRegistry(), **faults,
+        )
+        served = ServiceHarness(
+            policy, 120.0, 25.0, 0.05,
+            faults=schedule, metrics=MetricsRegistry(), **faults,
+        ).replay(workload, chunks=3)
+        for name, record in (("resilient", resilient), ("served", served)):
+            telemetry = record.telemetry
+            assert telemetry.meta["requests"] == len(workload)
+            assert depth_reconciles(telemetry.samples), name
+            path = tmp_path / f"{name}.jsonl"
+            lines = telemetry.export(path)
+            assert len(list(read_jsonl(path))) == lines
+            assert policy in summarize_file(str(path))
+        # Both fault-armed: ticks run 20 intervals past the last fault.
+        assert len(served.telemetry.samples) == len(resilient.telemetry.samples)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sched import ALL_POLICIES
 from repro.serve.cli import main
 
 GOLDEN = "tests/corpus/adversarial-boundary.json"
@@ -73,6 +74,45 @@ class TestChaos:
         out = capsys.readouterr().out
         assert status == 0
         assert "post-fault q1 compliance" in out
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_chaos_inputs_match_run_chaos(self, monkeypatch, policy):
+        """``repro-serve chaos`` and ``run_chaos`` share one recipe: the
+        same seed gives the same schedule, retry policy and adaptive
+        choice."""
+        import repro.faults.harness as faults_harness
+        import repro.serve.cli as cli
+        from repro.check.corpus import load_golden
+        from repro.faults import run_chaos
+
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(side):
+            def fake(*args, **kwargs):
+                captured[side] = kwargs
+                raise Captured
+
+            return fake
+
+        monkeypatch.setattr(cli, "ServiceHarness", capture("cli"))
+        monkeypatch.setattr(faults_harness, "run_resilient", capture("run_chaos"))
+        with pytest.raises(Captured):
+            main(["chaos", GOLDEN, "--policy", policy, "--seed", "5"])
+        golden = load_golden(GOLDEN)
+        with pytest.raises(Captured):
+            run_chaos(
+                golden.workload(), policy, golden.capacity, golden.delta_c,
+                golden.delta, seed=5,
+            )
+        cli_side, chaos_side = captured["cli"], captured["run_chaos"]
+        assert cli_side["faults"].events == chaos_side["schedule"].events
+        assert cli_side["faults"].events
+        assert cli_side["retry"] == chaos_side["retry"]
+        assert cli_side["adaptive"] == chaos_side["adaptive"]
+        assert cli_side["seed"] == chaos_side["seed"] == 5
 
 
 class TestPlace:

@@ -19,10 +19,8 @@ from repro.serve import (
     Node,
     PlacementPlanner,
     ServiceHarness,
-    StagedSource,
 )
 from repro.shaping import RunConfig, run_policy
-from repro.sim.engine import Simulator
 from repro.sim.source import ClosedLoopSource
 from repro.traces.synthetic import poisson_workload
 
@@ -98,59 +96,8 @@ class TestReplayParity:
 
 
 class TestStagedSource:
-    def _source(self):
-        sim = Simulator()
-        delivered = []
-
-        class Sink:
-            def on_arrival(self, request):
-                delivered.append(request)
-
-        return sim, StagedSource(sim, Sink()), delivered
-
-    def test_out_of_order_staging_rejected(self):
-        _, source, _ = self._source()
-        source.stage(2.0)
-        with pytest.raises(ConfigurationError, match="precedes"):
-            source.stage(1.0)
-        with pytest.raises(ConfigurationError, match="positive"):
-            source.stage(3.0, size=0.0)
-
-    def test_delivery_matches_workload_source_semantics(self):
-        sim, source, delivered = self._source()
-        source.stage(0.5)
-        source.stage(0.5)
-        source.stage(1.25, size=3.0)
-        assert source.horizon == 1.25
-        source.start()
-        sim.run()
-        assert [r.arrival for r in delivered] == [0.5, 0.5, 1.25]
-        assert [r.index for r in delivered] == [0, 1, 2]
-        assert delivered[2].service_demand == 3.0
-        assert source.exhausted
-
-    def test_staging_after_drain_rearms(self):
-        sim, source, delivered = self._source()
-        source.stage(1.0)
-        source.start()
-        sim.run()
-        assert len(delivered) == 1 and source.exhausted
-        source.stage(5.0)
-        assert not source.exhausted
-        sim.run()
-        assert len(delivered) == 2 and sim.now == 5.0
-
-    def test_past_arrival_fires_now_not_in_history(self):
-        sim, source, delivered = self._source()
-        source.stage(3.0)
-        source.start()
-        sim.run()
-        # Stage an arrival timestamped in the simulator's past: it is
-        # delivered immediately, never by rewinding the clock.
-        source.stage(3.0)
-        sim.run()
-        assert len(delivered) == 2
-        assert sim.now == 3.0
+    """Staging into a running harness (the source's own delivery
+    semantics are covered in tests/sim/test_source.py)."""
 
     def test_staging_during_the_run(self):
         staged = {"done": False}
@@ -197,7 +144,20 @@ class TestAuditsAndDriving:
             "split", CMIN, DELTA_C, DELTA, sample_interval=1.0
         )
         served = harness.replay(bursty)
-        assert served.samples, "periodic sampling produced no records"
+        assert served.telemetry.samples, "periodic sampling produced no records"
+
+    def test_fault_free_sampling_matches_run_policy(self, bursty):
+        """One horizon rule: without a fault plan the harness's ticks stop
+        at the arrival horizon, exactly like run_policy's."""
+        offline = run_policy(
+            bursty, "miser",
+            config=RunConfig(CMIN, DELTA_C, DELTA, sample_interval=0.5, engine="scalar"),
+        )
+        served = ServiceHarness(
+            "miser", CMIN, DELTA_C, DELTA, sample_interval=0.5
+        ).replay(bursty, chunks=3)
+        assert served.telemetry.samples == offline.telemetry.samples
+        assert served.telemetry.meta == offline.telemetry.meta
 
     def test_configuration_validation(self):
         with pytest.raises(ConfigurationError, match="required"):

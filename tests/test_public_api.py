@@ -4,6 +4,7 @@ Guards against refactors silently dropping re-exports that README,
 docs/api.md and downstream users rely on.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -108,22 +109,31 @@ PUBLIC_API = {
         "FaultInjector", "FaultState", "FaultyModel", "RetryPolicy",
         "AdaptiveShaper", "ControllerConfig", "ConservationReport",
         "check_conservation", "assert_conservation",
-        "run_resilient", "run_chaos",
+        "run_resilient", "run_chaos", "chaos_recipe",
         "RESILIENCE_POLICIES",
     ],
+    "repro.record": [
+        "RunRecord", "RunTelemetry", "ParityReport", "compare_records",
+    ],
+    "repro.stack": ["RunConfig", "FaultPlan", "build_stack", "Run", "TOPOLOGIES"],
 }
 
 
 #: Names retired when the five result types and two parity reports
-#: merged into RunRecord / ParityReport, and when the process-global
-#: engine/kernel/window switchboards gave way to selection by input;
-#: no alias may bring them back.
+#: merged into RunRecord / ParityReport, when the process-global
+#: engine/kernel/window switchboards gave way to selection by input, and
+#: when the five run loops folded into ``repro.stack.Run`` (a dotted key
+#: past the module names a class whose members must stay gone); no alias
+#: may bring them back.
 REMOVED = {
     "repro": ["PolicyRunResult"],
     "repro.shaping": ["PolicyRunResult"],
     "repro.faults": ["ResilientRunResult"],
     "repro.faults.harness": ["ResilientRunResult", "FaultRunViews"],
-    "repro.serve": ["ServeRunResult"],
+    "repro.serve": ["ServeRunResult", "StagedSource"],
+    "repro.serve.harness": ["StagedSource"],
+    "repro.stack": ["attach_sampler", "require_adaptable"],
+    "repro.record.RunRecord": ["from_stack", "samples"],
     "repro.workload": ["ClosedLoopResult"],
     "repro.check": ["CheckedRun", "EngineParityReport"],
     "repro.check.differential": [
@@ -145,8 +155,15 @@ REMOVED = {
 
 @pytest.mark.parametrize("module_name", sorted(REMOVED))
 def test_removed_names_stay_gone(module_name):
-    module = importlib.import_module(module_name)
-    revived = [name for name in REMOVED[module_name] if hasattr(module, name)]
+    try:
+        owner = importlib.import_module(module_name)
+    except ModuleNotFoundError:
+        parent, _, attr = module_name.rpartition(".")
+        owner = getattr(importlib.import_module(parent), attr)
+    members = set(dir(owner))
+    if dataclasses.is_dataclass(owner):
+        members |= {f.name for f in dataclasses.fields(owner)}
+    revived = [name for name in REMOVED[module_name] if name in members]
     assert not revived, f"{module_name} still exports {revived}"
 
 

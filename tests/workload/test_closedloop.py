@@ -141,12 +141,33 @@ class TestRunClosedLoop:
         assert len(observed) == len(result.submitted)
         assert np.all(np.diff(observed.arrivals) >= 0)
 
-    def test_rejects_observability_config(self):
-        config = RunConfig(4.0, 2.0, 0.5, sample_interval=0.1)
-        with pytest.raises(ConfigurationError, match="observability"):
-            run_closed_loop(
-                "split", config, n_users=2, think_time=1.0, horizon=5.0
-            )
+    def test_observability_config_observes_without_perturbing(self):
+        """Rate recording, a registry and a sampler on a closed-loop run:
+        samples over the horizon, queue depths that reconcile, and the
+        same responses as the unobserved run."""
+        from dataclasses import replace
+
+        from repro.obs import MetricsRegistry, depth_reconciles
+
+        kwargs = dict(n_users=6, think_time=0.5, horizon=10.0, seed=4)
+        plain = run_closed_loop("fairqueue", self.CONFIG, **kwargs)
+        observed = run_closed_loop(
+            "fairqueue",
+            replace(
+                self.CONFIG,
+                record_rates=1.0,
+                metrics=MetricsRegistry(),
+                sample_interval=0.1,
+            ),
+            **kwargs,
+        )
+        samples = observed.telemetry.samples
+        # One tick per interval over [0, horizon] plus the end-of-run snapshot.
+        assert len(samples) == 101
+        assert depth_reconciles(samples)
+        assert observed.completion_series is not None
+        assert np.array_equal(plain.responses, observed.responses, equal_nan=True)
+        assert plain.ledger == observed.ledger
 
     def test_rejects_batch_engine(self):
         """Closed-loop traffic runs on the event engine; asking for the
