@@ -2,7 +2,7 @@
 
 * Cascade SLAs save a large multiple over worst-case provisioning while
   meeting every tier's coverage.
-* The streaming planner's live estimate brackets the offline ``Cmin``.
+* The shadow autoscaler's live estimate brackets the offline ``Cmin``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Failure injection + SLO monitoring: watching a brownout hit and pass.
 
 Serves a steady shaped workload on a server that browns out to a third
-of its speed for four seconds mid-run, then uses the windowed compliance
-monitor to show the violation is confined to the injected window and
-the system recovers on its own.
+of its speed for four seconds mid-run, then reads windowed compliance
+off the completed requests to show the violation is confined to the
+injected window and the system recovers on its own.
 
 Run:  python examples/brownout_monitoring.py [duration_seconds]
 """
@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from repro.analysis.monitor import ComplianceMonitor
 from repro.analysis.reporting import ascii_bars
+from repro.analysis.response import compliance, windowed_compliance
 from repro.core.workload import Workload
 from repro.sched.registry import make_scheduler
 from repro.server.base import Server
@@ -52,17 +52,17 @@ def main(duration: float = 30.0) -> None:
     WorkloadSource(sim, workload, driver).start()
     sim.run()
 
-    monitor = ComplianceMonitor(delta=delta, target=0.8, window=1.0)
-    monitor.record_requests(driver.completed)
+    arrivals = np.array([r.arrival for r in driver.completed])
+    responses = np.array([r.response_time for r in driver.completed])
+    starts, totals, fractions = windowed_compliance(arrivals, responses, delta)
 
-    windows = monitor.windows()
-    labels = [f"t={w.start:>4.0f}s" for w in windows]
-    values = [w.fraction for w in windows]
-    print(ascii_bars(labels, values, width=40))
-    print(f"\noverall <= {delta * 1000:.0f} ms: {monitor.overall_fraction:.1%}")
+    labels = [f"t={start:>4.0f}s" for start in starts]
+    print(ascii_bars(labels, fractions, width=40))
+    print(f"\noverall <= {delta * 1000:.0f} ms: {compliance(responses, delta):.1%}")
     print(f"violated windows: "
-          f"{[f'{w.start:.0f}s' for w in monitor.violations()]}")
-    print(f"availability (1 s windows >= 80%): {monitor.availability():.1%}")
+          f"{[f'{start:.0f}s' for start in starts[fractions < 0.8]]}")
+    print(f"availability (1 s windows >= 80%): "
+          f"{np.mean(fractions[totals > 0] >= 0.8):.1%}")
     print("\nThe dips line up with the injected brownout and its drain; "
           "no operator action was needed to recover.")
 

@@ -17,7 +17,6 @@ from .gnuplot import (
     export_table1,
     write_dat,
 )
-from .monitor import ComplianceMonitor, WindowCompliance
 from .multiplexing import MultiplexingStudy, packing_count, study
 from .reporting import ascii_bars, ascii_cdf, ascii_series, format_table
 from .response import (
@@ -27,6 +26,7 @@ from .response import (
     fcfs_response_times,
     log_grid_ms,
     time_to_compliance,
+    windowed_compliance,
 )
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "export_figure8",
     "export_table1",
     "write_dat",
-    "ComplianceMonitor",
-    "WindowCompliance",
     "MultiplexingStudy",
     "packing_count",
     "study",
@@ -59,4 +57,5 @@ __all__ = [
     "fcfs_response_times",
     "log_grid_ms",
     "time_to_compliance",
+    "windowed_compliance",
 ]

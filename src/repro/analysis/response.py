@@ -42,6 +42,47 @@ def compliance(response_times: Sequence[float], bound: float) -> float:
     return float(np.count_nonzero(samples <= bound + 1e-12) / samples.size)
 
 
+def windowed_compliance(
+    arrivals: Sequence[float],
+    response_times: Sequence[float],
+    bound: float,
+    window: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-window compliance over fixed windows of *arrival* time.
+
+    Returns ``(starts, totals, fractions)``, dense from the first to the
+    last occupied window: each window's start, its request count, and
+    the fraction of those within ``bound`` (inclusive, as in
+    :func:`compliance`; an empty window reads 1.0).  Bucketing by
+    arrival attributes a slow drain to the burst that caused it; a NaN
+    response (never completed) counts against its window.  An SLO view
+    is then one line: the violated windows are ``starts[fractions <
+    target]`` and the availability (good windows over active ones) is
+    ``np.mean(fractions[totals > 0] >= target)``.
+    """
+    if bound <= 0 or window <= 0:
+        raise ConfigurationError(
+            f"bound and window must be positive, got {bound}/{window}"
+        )
+    arrivals = np.asarray(arrivals, dtype=float)
+    responses = np.asarray(response_times, dtype=float)
+    if arrivals.shape != responses.shape:
+        raise ConfigurationError(
+            f"{responses.size} response times for {arrivals.size} arrivals"
+        )
+    if arrivals.size == 0:
+        return np.array([]), np.array([], dtype=np.int64), np.array([])
+    index = (arrivals / window).astype(np.int64)
+    first = int(index.min())
+    index -= first
+    totals = np.bincount(index)
+    within = np.bincount(index[responses <= bound + 1e-12], minlength=totals.size)
+    fractions = np.ones(totals.size)
+    np.divide(within, totals, out=fractions, where=totals > 0)
+    starts = (first + np.arange(totals.size)) * window
+    return starts, totals, fractions
+
+
 def cdf_points(response_times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CDF as (sorted values, cumulative fractions)."""
     samples = np.sort(np.asarray(response_times, dtype=float))

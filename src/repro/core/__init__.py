@@ -33,7 +33,6 @@ from .rtt import (
 )
 from .sla import GraduatedSLA, SLATier, TierCompliance
 from .slack import SlackTracker, initial_slack, is_unconstrained
-from .streaming import EstimateSnapshot, StreamingPlanner
 from .workload import Workload
 
 __all__ = [
@@ -75,8 +74,6 @@ __all__ = [
     "SLATier",
     "TierCompliance",
     "SlackTracker",
-    "EstimateSnapshot",
-    "StreamingPlanner",
     "initial_slack",
     "is_unconstrained",
     "Workload",

@@ -6,7 +6,8 @@ Two studies the paper gestures at but does not measure:
   capacity a three-level gold/silver/bronze SLA saves versus (a) the
   worst-case single class and (b) a flat two-class decomposition at the
   silver tier's deadline.
-* **Online provisioning**: the streaming planner tracking each stand-in
+* **Online provisioning**: a shadow-mode provisioning loop
+  (:class:`~repro.serve.autoscaler.Autoscaler`) tracking each stand-in
   workload with a sliding window — how close does a live estimate get to
   the offline ``Cmin``, and how large is its high-water mark?
 """
@@ -19,7 +20,7 @@ from ..analysis.reporting import format_table
 from ..core.capacity import CapacityPlanner
 from ..core.multiclass import plan_and_decompose
 from ..core.sla import GraduatedSLA
-from ..core.streaming import StreamingPlanner
+from ..serve.autoscaler import Autoscaler, AutoscalerConfig
 from ..units import ms, to_ms
 from .common import PAPER_WORKLOADS, ExperimentConfig
 
@@ -76,19 +77,20 @@ def run(config: ExperimentConfig | None = None) -> ExtensionsResult:
         )
 
         window = min(60.0, config.duration / 2)
-        planner = StreamingPlanner(
-            delta=ms(10), fraction=0.9, window=window, replan_interval=window / 6
+        scaler = Autoscaler(
+            None,
+            ms(10),
+            AutoscalerConfig(interval=window / 6, window=window, fraction=0.9),
         )
-        planner.observe_many(workload.arrivals)
+        estimates = [d.recommended for d in scaler.replay(workload.arrivals)]
         offline = CapacityPlanner(workload, ms(10)).min_capacity(0.9)
-        current = planner.current
         streaming_cells.append(
             StreamingCell(
                 workload_name=workload.name,
                 offline_cmin=offline,
-                final_estimate=current.cmin if current else 0.0,
-                high_water_mark=planner.high_water_mark,
-                replans=len(planner.history),
+                final_estimate=estimates[-1] if estimates else 0.0,
+                high_water_mark=max(estimates, default=0.0),
+                replans=len(estimates),
             )
         )
     return ExtensionsResult(

@@ -17,6 +17,11 @@ tick cadence and moves the classifier's limit with hysteresis:
   rate below ``exit_miss_rate``), restore the planned ``C·δ`` bound in
   one step.
 
+The plan has one owner, the classifier: recovery restores
+``classifier.planned_limit`` as it stands at that moment, so a plan an
+active :class:`~repro.serve.autoscaler.Autoscaler` re-provisioned
+meanwhile is the one restored.
+
 The asymmetric thresholds and consecutive-window requirements are the
 hysteresis: a single bad (or good) sample never flips the mode, so the
 controller cannot oscillate on sampling noise.
@@ -117,7 +122,6 @@ class AdaptiveShaper:
                 "bound to actuate)"
             )
         self.config = config if config is not None else ControllerConfig()
-        self.planned_limit = self.classifier.planned_limit
         self.degraded = False
         self.degrades = 0
         self.recoveries = 0
@@ -195,5 +199,5 @@ class AdaptiveShaper:
         self.recoveries += 1
         self._m_recoveries.inc()
         self._clean_streak = 0
-        self.classifier.set_limit(self.planned_limit)
+        self.classifier.set_limit(self.classifier.planned_limit)
         self._g_limit.set(self.classifier.limit)

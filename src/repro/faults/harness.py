@@ -30,7 +30,6 @@ from ..obs.registry import MetricsRegistry
 from ..sched.registry import CLASSIFIER_FREE_POLICIES
 from ..record import RunRecord
 from ..stack import FaultPlan, Run, RunConfig
-from .controller import ControllerConfig
 from .retry import RetryPolicy
 from .schedule import FaultSchedule, random_schedule
 
@@ -48,7 +47,6 @@ def run_resilient(
     schedule: FaultSchedule | None = None,
     retry: RetryPolicy | None = None,
     adaptive: bool = False,
-    controller_config: ControllerConfig | None = None,
     inflight: str = "requeue",
     seed: int = 0,
     sample_interval: float | None = None,
@@ -88,7 +86,6 @@ def run_resilient(
             retry, inflight, seed,
         ),
         adaptive=adaptive,
-        controller_config=controller_config,
     )
     return run.record(run.replay(workload), workload_name=workload.name)
 
@@ -140,7 +137,6 @@ def run_chaos(
     storms: int = 1,
     retry: RetryPolicy | None = None,
     adaptive: bool | None = None,
-    controller_config: ControllerConfig | None = None,
     metrics: MetricsRegistry | None = None,
     aqm: str | None = None,
     aqm_shared: bool = False,
@@ -163,7 +159,6 @@ def run_chaos(
         schedule=schedule,
         retry=default_retry if retry is None else retry,
         adaptive=default_adaptive if adaptive is None else adaptive,
-        controller_config=controller_config,
         seed=seed,
         metrics=metrics,
         aqm=aqm,

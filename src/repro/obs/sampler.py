@@ -127,11 +127,15 @@ def _driver_probes(sampler: Sampler, driver, prefix: str = "") -> None:
     )
     registry = driver.metrics
     if registry.enabled:
-        for short in ("arrivals", "dispatches", "completions", "deadline_misses"):
+        for short in (
+            "arrivals", "reentries", "dispatches", "completions", "deadline_misses"
+        ):
             name = f"{driver.metrics_prefix}.{short}"
             sampler.probe(
                 f"{prefix}{short}", lambda name=name: registry.value(name)
             )
+        shed = f"faults.{driver.metrics_prefix}.shed"
+        sampler.probe(f"{prefix}shed", lambda: registry.value(shed))
     window = getattr(driver, "window", None)
     if window is not None:
         sampler.probe(
@@ -144,6 +148,11 @@ def _driver_probes(sampler: Sampler, driver, prefix: str = "") -> None:
             f"{prefix}aqm_device_queued",
             lambda: float(len(driver._device_queue)),
         )
+        if registry.enabled:
+            withdrawals = f"{driver.metrics_prefix}.withdrawals"
+            sampler.probe(
+                f"{prefix}aqm_withdrawals", lambda: registry.value(withdrawals)
+            )
 
 
 def attach_standard_probes(sampler: Sampler, system) -> Sampler:
@@ -180,20 +189,33 @@ def attach_standard_probes(sampler: Sampler, system) -> Sampler:
 
 
 def depth_reconciles(records: Sequence[dict], prefix: str = "") -> bool:
-    """Invariant check: sampled depth equals arrivals minus dispatches.
+    """Invariant check: sampled depth equals the scheduler's inflow minus
+    its outflow.
 
     Holds for every sample carrying the counter columns of one driver;
     used by tests and by ``--metrics`` consumers as a trace sanity check.
-    With an AQM window armed, requests staged in the device queue have
-    left the scheduler but not yet started service, so the identity
-    becomes ``queue_depth = arrivals - dispatches - device_queued``.
+    Requests enter the scheduler by arriving or by re-entering after a
+    preemption, a crash requeue or a timeout (``reentries``), and leave
+    it by dispatch or by being shed (``shed``).  With an AQM window
+    armed, requests staged in the device queue have left the scheduler
+    but not yet started service, and a timeout may withdraw one from
+    there before it does, so the identity is ``queue_depth = arrivals +
+    reentries - dispatches - shed - device_queued - withdrawals``.
+    Columns a trace does not carry count as zero.
     """
     keys = (f"{prefix}queue_depth", f"{prefix}arrivals", f"{prefix}dispatches")
-    staged_key = f"{prefix}aqm_device_queued"
+    optional = tuple(
+        f"{prefix}{key}"
+        for key in ("reentries", "shed", "aqm_device_queued", "aqm_withdrawals")
+    )
     for record in records:
         if not set(keys) <= record.keys():
             continue
-        staged = record.get(staged_key, 0) or 0
-        if record[keys[0]] != record[keys[1]] - record[keys[2]] - staged:
+        reentries, shed, staged, withdrawn = (
+            record.get(key, 0) or 0 for key in optional
+        )
+        inflow = record[keys[1]] + reentries
+        outflow = record[keys[2]] + shed + staged + withdrawn
+        if record[keys[0]] != inflow - outflow:
             return False
     return True

@@ -9,9 +9,10 @@ the offline simulator:
 * :class:`~repro.serve.admission.AdmissionService` — live
   admit/demote/reject from decomposed capacity estimates (request- and
   client-granular);
-* :class:`~repro.serve.autoscaler.Autoscaler` — the adaptive shaper
-  recast as a provisioning loop re-planning ``Cmin + ΔC`` from a
-  sliding trace window, with the batch engine as a digital twin;
+* :class:`~repro.serve.autoscaler.Autoscaler` — the provisioning loop
+  re-planning ``Cmin + ΔC`` from a sliding trace window (live, or
+  replaying a recorded trace as the online capacity estimator), with
+  the batch engine as a digital twin;
 * :class:`~repro.serve.placement.PlacementPlanner` — Q1/Q2 assignment
   across a farm where inter-node latency is charged against ``δ``;
 * :class:`~repro.serve.harness.ServiceHarness` — the whole plane under

@@ -1,4 +1,4 @@
-"""The ``AdaptiveShaper`` recast as a provisioning loop.
+"""The provisioning loop: re-plan ``Cmin`` from a sliding trace window.
 
 The fault-plane shaper (:class:`repro.faults.controller.AdaptiveShaper`)
 moves the *live* admission bound below the plan when the server under it
@@ -9,7 +9,8 @@ that loop in the monitoring → decision → actuation style of
 software-defined storage QoS controllers:
 
 * **monitoring** — every delivered request lands in a sliding trace
-  window (:meth:`Autoscaler.observe`);
+  window (:meth:`Autoscaler.observe`; :meth:`Autoscaler.replay` feeds a
+  whole recorded trace as columns);
 * **decision** — each epoch the window is re-planned through the same
   :class:`~repro.core.capacity.CapacityPlanner` bisection the offline
   pipeline uses (``device_depth`` δ_eff correction included), producing
@@ -19,6 +20,13 @@ software-defined storage QoS controllers:
   re-provisioned via :meth:`~repro.sched.classifier.OnlineRTTClassifier.
   reprovision`, moving the ``⌊C·δ⌋`` bound; ``shadow`` mode records the
   decisions without touching anything (the mode parity replays use).
+
+A shadow loop is also the online capacity estimator: its decisions'
+``recommended`` column is the live ``Cmin`` estimate over the window
+(for elastic re-provisioning and capacity-trend dashboards), and their
+maximum is the high-water mark a conservative static provision uses.
+Re-planning is O(window) via the batched RTT pass, amortized by the
+epoch length.
 
 The vectorized batch engine doubles as a **digital twin**: given any
 candidate capacity, :meth:`Autoscaler.what_if` replays the current
@@ -43,8 +51,9 @@ from ..sched.classifier import OnlineRTTClassifier
 from ..sim import batch
 
 
-#: Operating modes: disabled, decide-but-don't-touch, and closed-loop.
-MODES = ("off", "shadow", "active")
+#: Operating modes: decide-but-don't-touch, and closed-loop.  A service
+#: without a provisioning loop passes ``autoscaler=None``.
+MODES = ("shadow", "active")
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,7 @@ class AutoscalerConfig:
     device_depth:
         When set, re-plans against the δ_eff-corrected bound.
     mode:
-        ``"off"``, ``"shadow"`` or ``"active"`` (see module docstring).
+        ``"shadow"`` or ``"active"`` (see module docstring).
     """
 
     interval: float = 10.0
@@ -142,7 +151,7 @@ class Autoscaler:
     ----------
     classifier:
         The serving stack's classifier to actuate in ``active`` mode
-        (``None`` is allowed for shadow/off and for classifier-free
+        (``None`` is allowed in shadow mode and for classifier-free
         policies — actuation then has nothing to move).
     delta:
         The guarantee the re-plan targets (the stack's ``δ``).
@@ -193,6 +202,52 @@ class Autoscaler:
         """Feed one delivered request into the sliding window."""
         self._window.append((request.arrival, request.service_demand))
 
+    def replay(self, arrivals, demands=None) -> list[ScalerDecision]:
+        """Feed a recorded trace as columns, ticking at data-driven instants.
+
+        The offline counterpart of :meth:`observe` plus a clock: the
+        first epoch ends at the first arrival at or after ``interval``,
+        each later one at the first arrival at or after the previous
+        tick plus ``interval``, and every tick sees the arrivals up to
+        and including the one that triggered it.  ``demands`` defaults
+        to unit requests.  Arrivals must be non-decreasing (it is a
+        stream).  Returns the decisions the replay took.
+        """
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        demands = (
+            np.ones_like(arrivals)
+            if demands is None
+            else np.asarray(demands, dtype=np.float64)
+        )
+        if demands.shape != arrivals.shape:
+            raise ConfigurationError(
+                f"demands ({demands.size}) must align with arrivals "
+                f"({arrivals.size})"
+            )
+        back = np.flatnonzero(np.diff(arrivals) < -1e-12)
+        if back.size:
+            i = int(back[0])
+            raise ConfigurationError(
+                f"arrivals must be non-decreasing: {arrivals[i + 1]} < "
+                f"{arrivals[i]}"
+            )
+        decisions = []
+        start = 0
+        due = self.config.interval
+        while True:
+            k = int(np.searchsorted(arrivals, due))
+            if k == arrivals.size:
+                break
+            self._window.extend(
+                zip(arrivals[start : k + 1].tolist(), demands[start : k + 1].tolist())
+            )
+            start = k + 1
+            now = float(arrivals[k])
+            decisions.append(self.tick(now))
+            due = now + self.config.interval
+        self._window.extend(zip(arrivals[start:].tolist(), demands[start:].tolist()))
+        return decisions
+
     def _evict(self, now: float) -> None:
         horizon = now - self.config.window
         while self._window and self._window[0][0] < horizon:
@@ -237,7 +292,7 @@ class Autoscaler:
             > self.config.deadband * self.provisioned
         )
         actuated = False
-        if self.config.mode == "off" or not out_of_band:
+        if not out_of_band:
             self._streak = 0
         else:
             self._streak += 1

@@ -38,7 +38,6 @@ from __future__ import annotations
 from ..core.request import Request
 from ..core.workload import Workload
 from ..exceptions import ConfigurationError, SimulationError
-from ..faults.controller import ControllerConfig
 from ..faults.retry import RetryPolicy
 from ..faults.schedule import FaultSchedule
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
@@ -73,7 +72,7 @@ class ServiceHarness:
     autoscaler:
         ``AutoscalerConfig`` (a loop is built around the stack's
         classifier) or a prebuilt ``Autoscaler``; ``None`` disables.
-    faults, retry, adaptive, controller_config, inflight, seed:
+    faults, retry, adaptive, inflight, seed:
         Arm the fault plane: the :class:`~repro.stack.Run` builds its
         stack with the :class:`~repro.stack.FaultPlan` ``(faults, retry,
         inflight, seed)`` — the same stack ``run_resilient`` serves.
@@ -103,7 +102,6 @@ class ServiceHarness:
         faults: FaultSchedule | None = None,
         retry: RetryPolicy | None = None,
         adaptive: bool = False,
-        controller_config: ControllerConfig | None = None,
         inflight: str = "requeue",
         seed: int = 0,
         sample_interval: float | None = None,
@@ -139,7 +137,6 @@ class ServiceHarness:
             config,
             FaultPlan(faults, retry, inflight, seed) if fault_mode else None,
             adaptive=bool(adaptive),
-            controller_config=controller_config,
             effective_delta=effective_delta,
         )
         self.sim = self._run.sim
@@ -231,7 +228,7 @@ class ServiceHarness:
             return
         self._started = True
         self._run.arm(horizon)
-        if self.autoscaler is not None and self.autoscaler.config.mode != "off":
+        if self.autoscaler is not None:
             self.sim.every(
                 self.autoscaler.config.interval,
                 lambda: self.autoscaler.tick(self.sim.now),
@@ -292,7 +289,9 @@ class ServiceHarness:
         ledger = self.system.fault_ledger()
         terminal = ledger["completed"] + ledger["dropped"] + ledger["shed"]
         resident = ledger.get("window", 0)
-        injected = len(self.source.requests)
+        # Every request reaches the gate, staged or from a closed-loop
+        # population, and leaves it delivered or rejected.
+        injected = len(self.delivered) + len(self.rejected)
         outstanding = injected - len(self.rejected) - terminal - resident
         now = self.sim.now
         if outstanding < 0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..exceptions import CapacityError, ConfigurationError
 
@@ -201,65 +201,3 @@ class PlacementPlanner:
             f"no node fits the overflow partition (delta_c={delta_c:g}) "
             f"beside {q1.name!r}"
         )
-
-    def plan_farm(
-        self, cmin: float, delta_c: float, delta: float, shares: int
-    ) -> Sequence[PlacementPlan]:
-        """Split ``Cmin`` into ``shares`` equal guaranteed slices.
-
-        A convenience for farms whose guaranteed class itself spans
-        nodes: each slice is placed independently (greedily, in latency
-        order), all slices seeing the same ``δ`` budget.  The overflow
-        partition is placed once, after the guaranteed slices, on the
-        least-loaded remaining capacity.
-        """
-        if shares < 1:
-            raise ConfigurationError(f"shares must be >= 1, got {shares}")
-        slice_cmin = cmin / shares
-        remaining = {n.name: n.capacity for n in self.nodes}
-        plans = []
-        for _ in range(shares):
-            usable = [
-                Node(n.name, remaining[n.name], n.latency)
-                for n in self.nodes
-                if remaining[n.name] + 1e-9 >= slice_cmin
-                and delta - n.latency > 0
-            ]
-            planner = PlacementPlanner(usable) if usable else None
-            if planner is None:
-                raise CapacityError(
-                    f"farm exhausted placing {shares} guaranteed slices "
-                    f"of {slice_cmin:g} IOPS"
-                )
-            plan = planner.plan(slice_cmin, 0.0, delta)
-            remaining[plan.q1_node.name] -= slice_cmin
-            plans.append(plan)
-        # One overflow placement over what's left.
-        leftovers = [
-            Node(n.name, remaining[n.name], n.latency)
-            for n in self.nodes
-            if remaining[n.name] > 0
-        ]
-        q2_host = None
-        for node in sorted(leftovers, key=lambda n: (n.latency, n.name)):
-            if node.capacity + 1e-9 >= delta_c:
-                q2_host = node
-                break
-        if delta_c > 0 and q2_host is None:
-            raise CapacityError(
-                f"no residual capacity for the overflow partition "
-                f"(delta_c={delta_c:g})"
-            )
-        if q2_host is not None:
-            plans = [
-                PlacementPlan(
-                    q1_node=p.q1_node,
-                    q2_node=q2_host,
-                    cmin=p.cmin,
-                    delta_c=float(delta_c),
-                    delta=p.delta,
-                    effective_delta=p.effective_delta,
-                )
-                for p in plans
-            ]
-        return plans

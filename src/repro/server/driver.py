@@ -136,6 +136,13 @@ class DeviceDriver:
         self._m_completions = self.metrics.counter(f"{metrics_prefix}.completions")
         self._m_misses = self.metrics.counter(f"{metrics_prefix}.deadline_misses")
         self._m_preemptions = self.metrics.counter(f"{metrics_prefix}.preemptions")
+        #: Requests put back into the scheduler after a preemption, a
+        #: crash requeue or a timeout (its other inflow besides arrivals).
+        self._m_reentries = self.metrics.counter(f"{metrics_prefix}.reentries")
+        #: Requests taken back out of the device queue by a timeout
+        #: before they started service (left the scheduler, never
+        #: dispatched).
+        self._m_withdrawals = self.metrics.counter(f"{metrics_prefix}.withdrawals")
         #: Times the scheduler pulled an in-flight request off the server.
         self.preemptions = 0
         self._preemptive = bool(getattr(scheduler, "preemptive", False))
@@ -226,6 +233,7 @@ class DeviceDriver:
         self._window_exit(preempted)
         self.preemptions += 1
         self._m_preemptions.inc()
+        self._m_reentries.inc()
         self.scheduler.on_preempt(preempted)
         self._try_dispatch()
 
@@ -368,6 +376,7 @@ class DeviceDriver:
             # Timed out while still waiting in the device queue — the
             # bufferbloat failure mode the timeout exists to catch.
             self._device_queue.remove(request)
+            self._m_withdrawals.inc()
             self._window_exit(request)
             self._m_timeouts.inc()
             self._retry_request(request)
@@ -436,6 +445,7 @@ class DeviceDriver:
             self._requeue_now(request)
 
     def _requeue_now(self, request: Request) -> None:
+        self._m_reentries.inc()
         self.scheduler.on_requeue(request)
         self._try_dispatch()
 

@@ -58,7 +58,7 @@ from .sim.rng import derive_seed
 from .sim.source import WorkloadSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> stack)
-    from .faults.controller import AdaptiveShaper, ControllerConfig
+    from .faults.controller import AdaptiveShaper
     from .faults.retry import RetryPolicy
     from .faults.schedule import FaultSchedule
 
@@ -265,9 +265,8 @@ class Run:
     deadline the stack enforces when it differs (a placement latency
     charge).  ``adaptive=True`` steers the classifier's admission bound
     on the sampler's cadence with an
-    :class:`~repro.faults.controller.AdaptiveShaper` (tuned by
-    ``controller_config``); the sampling interval then defaults to the
-    enforced deadline.
+    :class:`~repro.faults.controller.AdaptiveShaper`; the sampling
+    interval then defaults to the enforced deadline.
     """
 
     def __init__(
@@ -277,7 +276,6 @@ class Run:
         faults: FaultPlan | None = None,
         *,
         adaptive: bool = False,
-        controller_config: "ControllerConfig | None" = None,
         wrap_scheduler: Callable[[Scheduler], Scheduler] | None = None,
         effective_delta: float | None = None,
     ):
@@ -304,7 +302,6 @@ class Run:
                     "classifying policy or adaptive=False)"
                 )
         self.adaptive = adaptive
-        self.controller_config = controller_config
         self.horizon = 0.0
         self.interval: float | None = None
         self.sampler: Sampler | None = None
@@ -339,7 +336,6 @@ class Run:
             self.controller = AdaptiveShaper(
                 driver=self.system.loop_driver,
                 classifier=self.system.classifier,
-                config=self.controller_config,
                 metrics=self.config.metrics,
                 shed_from=self.system.demotion_target,
             ).install(self.sampler)

@@ -1,61 +1,74 @@
-"""Tests for the streaming capacity planner."""
+"""Streaming capacity estimation: a shadow autoscaler replaying a trace.
+
+Online ``Cmin`` estimation over a sliding window is the provisioning
+loop's decision half run offline: :meth:`Autoscaler.replay` feeds the
+arrival column and ticks at data-driven instants, and each decision's
+``recommended`` is the live estimate.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.capacity import CapacityPlanner
-from repro.core.streaming import StreamingPlanner
 from repro.core.workload import Workload
 from repro.exceptions import ConfigurationError
+from repro.serve import Autoscaler, AutoscalerConfig
+
+
+def _estimator(delta, fraction=0.9, window=60.0, interval=5.0) -> Autoscaler:
+    return Autoscaler(
+        None,
+        delta,
+        AutoscalerConfig(interval=interval, window=window, fraction=fraction),
+    )
 
 
 class TestValidation:
     def test_parameters(self):
         with pytest.raises(ConfigurationError):
-            StreamingPlanner(delta=0.0)
+            _estimator(delta=0.0)
         with pytest.raises(ConfigurationError):
-            StreamingPlanner(delta=0.1, fraction=0.0)
+            _estimator(delta=0.1, fraction=0.0)
         with pytest.raises(ConfigurationError):
-            StreamingPlanner(delta=0.1, window=0.0)
+            _estimator(delta=0.1, window=0.0)
         with pytest.raises(ConfigurationError):
-            StreamingPlanner(delta=0.1, window=5.0, replan_interval=10.0)
+            _estimator(delta=0.1, interval=0.0)
+        with pytest.raises(ConfigurationError, match="align"):
+            _estimator(delta=0.1).replay([1.0, 2.0], demands=[1.0])
 
     def test_rejects_time_travel(self):
-        planner = StreamingPlanner(delta=0.1)
-        planner.observe(5.0)
         with pytest.raises(ConfigurationError, match="non-decreasing"):
-            planner.observe(4.0)
+            _estimator(delta=0.1).replay([5.0, 4.0])
 
 
 class TestReplanning:
     def test_replans_on_interval(self):
-        planner = StreamingPlanner(delta=0.1, window=20.0, replan_interval=5.0)
-        snapshots = planner.observe_many(np.arange(0.0, 20.0, 0.5))
-        assert len(snapshots) == len(planner.history)
-        assert len(snapshots) >= 3
-        times = [s.time for s in snapshots]
+        scaler = _estimator(delta=0.1, window=20.0, interval=5.0)
+        decisions = scaler.replay(np.arange(0.0, 20.0, 0.5))
+        assert decisions == scaler.decisions
+        assert len(decisions) >= 3
+        times = [d.time for d in decisions]
+        assert times[0] == 5.0
         assert all(b - a >= 5.0 - 1e-9 for a, b in zip(times, times[1:]))
 
     def test_no_snapshot_between_intervals(self):
-        planner = StreamingPlanner(delta=0.1, window=20.0, replan_interval=5.0)
-        assert planner.observe(1.0) is None
-        assert planner.current is None
+        scaler = _estimator(delta=0.1, window=20.0, interval=5.0)
+        assert scaler.replay([1.0]) == []
+        assert scaler.decisions == []
 
     def test_estimate_matches_offline_on_window(self, rng):
         """A window covering the whole stream reproduces the offline plan."""
         arrivals = np.sort(rng.uniform(0.0, 10.0, 300))
-        planner = StreamingPlanner(
-            delta=0.1, fraction=0.9, window=100.0, replan_interval=10.0
-        )
-        planner.observe_many(arrivals)
-        planner.observe(10.0)  # force the final replan tick
+        scaler = _estimator(delta=0.1, fraction=0.9, window=100.0, interval=10.0)
+        # The trailing 10.0 forces the final tick.
+        decisions = scaler.replay(np.append(arrivals, 10.0))
         offline = CapacityPlanner(Workload(arrivals), 0.1).min_capacity(0.9)
-        assert planner.current.cmin == pytest.approx(offline, rel=0.1)
+        assert decisions[-1].recommended == pytest.approx(offline, rel=0.1)
 
     def test_window_eviction(self):
-        planner = StreamingPlanner(delta=0.1, window=5.0, replan_interval=5.0)
-        planner.observe_many(np.arange(0.0, 30.0, 0.1))
-        assert planner.current.window_requests <= 51
+        scaler = _estimator(delta=0.1, window=5.0, interval=5.0)
+        decisions = scaler.replay(np.arange(0.0, 30.0, 0.1))
+        assert decisions[-1].observed <= 51
 
 
 class TestDriftTracking:
@@ -64,23 +77,23 @@ class TestDriftTracking:
         and the early estimates stay low."""
         slow = np.sort(rng.uniform(0.0, 30.0, 300))  # 10 IOPS
         fast = np.sort(rng.uniform(30.0, 60.0, 1200))  # 40 IOPS
-        planner = StreamingPlanner(
-            delta=0.2, fraction=0.9, window=10.0, replan_interval=2.0
-        )
-        planner.observe_many(np.concatenate([slow, fast]))
-        times, estimates = planner.estimate_series()
+        scaler = _estimator(delta=0.2, fraction=0.9, window=10.0, interval=2.0)
+        decisions = scaler.replay(np.concatenate([slow, fast]))
+        times = np.array([d.time for d in decisions])
+        estimates = np.array([d.recommended for d in decisions])
         early = estimates[times < 28.0].mean()
         late = estimates[times > 45.0].mean()
         assert late > 2.0 * early
 
     def test_high_water_mark(self, rng):
         arrivals = np.sort(rng.uniform(0.0, 20.0, 500))
-        planner = StreamingPlanner(delta=0.1, window=10.0, replan_interval=2.0)
-        planner.observe_many(arrivals)
-        assert planner.high_water_mark == max(s.cmin for s in planner.history)
+        scaler = _estimator(delta=0.1, window=10.0, interval=2.0)
+        estimates = [d.recommended for d in scaler.replay(arrivals)]
+        high_water = max(estimates)
+        assert high_water > min(estimates)
+        assert all(e <= high_water for e in estimates)
 
     def test_empty_series(self):
-        planner = StreamingPlanner(delta=0.1)
-        times, estimates = planner.estimate_series()
-        assert times.size == 0
-        assert planner.high_water_mark == 0.0
+        scaler = _estimator(delta=0.1)
+        assert scaler.replay(np.array([])) == []
+        assert max((d.recommended for d in scaler.decisions), default=0.0) == 0.0

@@ -58,7 +58,7 @@ class TestConfig:
 class TestHysteresis:
     def test_single_bad_window_does_not_trip(self):
         driver, shaper = _shaper(ControllerConfig(trip_ticks=2))
-        planned = shaper.planned_limit
+        planned = shaper.classifier.planned_limit
         _feed(driver, completed=10, missed=5)
         shaper.tick()
         assert shaper.classifier.limit == planned
@@ -66,7 +66,7 @@ class TestHysteresis:
 
     def test_consecutive_bad_windows_trip(self):
         driver, shaper = _shaper(ControllerConfig(trip_ticks=2, shrink=0.5))
-        planned = shaper.planned_limit
+        planned = shaper.classifier.planned_limit
         for _ in range(2):
             _feed(driver, completed=10, missed=5)
             shaper.tick()
@@ -101,7 +101,7 @@ class TestHysteresis:
     def test_recovery_restores_planned_limit(self):
         config = ControllerConfig(trip_ticks=1, clear_ticks=3)
         driver, shaper = _shaper(config)
-        planned = shaper.planned_limit
+        planned = shaper.classifier.planned_limit
         _feed(driver, completed=10, missed=5)
         shaper.tick()
         assert shaper.classifier.limit < planned
@@ -113,6 +113,24 @@ class TestHysteresis:
         assert shaper.classifier.limit == planned
         assert not shaper.degraded
         assert shaper.recoveries == 1
+
+    def test_recovery_restores_a_reprovisioned_plan(self):
+        """The classifier owns the plan: after a scale-up, recovery
+        restores the new bound, not the one in force when the shaper
+        was built."""
+        config = ControllerConfig(trip_ticks=1, clear_ticks=1)
+        driver, shaper = _shaper(config)
+        built_with = shaper.classifier.planned_limit
+        shaper.classifier.reprovision(4 * CMIN)
+        planned = shaper.classifier.planned_limit
+        assert planned > built_with
+        _feed(driver, completed=10, missed=5)
+        shaper.tick()
+        assert shaper.classifier.limit < planned
+        _feed(driver, completed=10, missed=0)
+        shaper.tick()
+        assert shaper.recoveries == 1
+        assert shaper.classifier.limit == planned
 
     def test_geometric_shrink_floors_at_min_limit(self):
         config = ControllerConfig(trip_ticks=1, shrink=0.5, min_limit=1)
@@ -165,4 +183,4 @@ class TestActuation:
         shaper.tick()
         assert registry.value("faults.ctl.degrades") == 1
         assert registry.value("faults.ctl.recoveries") == 1
-        assert registry.value("faults.ctl.limit") == shaper.planned_limit
+        assert registry.value("faults.ctl.limit") == shaper.classifier.planned_limit

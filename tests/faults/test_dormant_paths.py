@@ -112,7 +112,7 @@ class TestShaperStreakBoundaries:
 
     def test_trip_fires_on_exactly_the_trip_ticks_th_bad_tick(self):
         driver, shaper = _shaper(ControllerConfig(trip_ticks=3, shrink=0.5))
-        planned = shaper.planned_limit
+        planned = shaper.classifier.planned_limit
         for tick in range(1, 4):
             _window(driver, completed=10, missed=5)
             shaper.tick()
@@ -125,7 +125,7 @@ class TestShaperStreakBoundaries:
 
     def test_clear_fires_on_exactly_the_clear_ticks_th_clean_tick(self):
         driver, shaper = _shaper(ControllerConfig(trip_ticks=1, clear_ticks=4))
-        planned = shaper.planned_limit
+        planned = shaper.classifier.planned_limit
         _window(driver, completed=10, missed=5)
         shaper.tick()
         assert shaper.degraded
@@ -143,7 +143,7 @@ class TestShaperStreakBoundaries:
         """The restore edge: a second trip/clear cycle behaves like the
         first — no stale streak state survives a recovery."""
         driver, shaper = _shaper(ControllerConfig(trip_ticks=2, clear_ticks=2))
-        planned = shaper.planned_limit
+        planned = shaper.classifier.planned_limit
         for episode in range(1, 3):
             # A single bad tick right after restore must NOT trip (the
             # bad streak starts from zero each episode).
@@ -194,7 +194,7 @@ class TestShaperStreakBoundaries:
         driver, shaper = _shaper(
             ControllerConfig(trip_ticks=1, clear_ticks=1, shrink=0.5)
         )
-        planned = shaper.planned_limit
+        planned = shaper.classifier.planned_limit
         # Degrade twice: limit shrinks geometrically below planned/2.
         for _ in range(2):
             _window(driver, completed=10, missed=5)

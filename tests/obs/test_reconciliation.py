@@ -174,11 +174,8 @@ class TestTelemetryOnEveryPath:
         from repro.obs import summarize_file
         from repro.serve import ServiceHarness
 
-        # Droops and spike storms only: a crash requeues the in-flight
-        # request without a new arrival, which the depth identity does
-        # not count.
         schedule, retry, adaptive = chaos_recipe(
-            policy, 0.05, 1, workload.duration, crashes=0
+            policy, 0.05, 1, workload.duration
         )
         faults = dict(retry=retry, adaptive=adaptive, sample_interval=0.25)
         resilient = run_resilient(
@@ -199,3 +196,64 @@ class TestTelemetryOnEveryPath:
             assert policy in summarize_file(str(path))
         # Both fault-armed: ticks run 20 intervals past the last fault.
         assert len(served.telemetry.samples) == len(resilient.telemetry.samples)
+
+    @pytest.mark.parametrize("aqm", [None, "codel"])
+    def test_crash_requeues_and_sheds_reconcile(self, workload, aqm):
+        """A crash puts its in-service request back in the queue with no
+        new arrival, and the shaper sheds queued requests with no
+        dispatch: the identity counts both (and, with a window armed,
+        timeouts that withdraw a request from the device queue)."""
+        from repro.faults import chaos_recipe, run_resilient
+
+        schedule, retry, adaptive = chaos_recipe(
+            "fairqueue", 0.05, 3, workload.duration
+        )
+        assert schedule.crashes
+        record = run_resilient(
+            workload, "fairqueue", 120.0, 25.0, 0.05,
+            schedule=schedule, retry=retry, adaptive=adaptive, seed=3,
+            sample_interval=0.25, metrics=MetricsRegistry(), aqm=aqm,
+        )
+        samples = record.telemetry.samples
+        assert samples[-1]["reentries"] > 0
+        assert depth_reconciles(samples)
+
+    def test_sheds_reconcile(self, workload):
+        """A shaper that sheds the overflow backlog on degrade: shed
+        requests leave the queue without a dispatch."""
+        from repro.faults import AdaptiveShaper, ControllerConfig
+        from repro.obs import Sampler, attach_standard_probes
+        from repro.sched.registry import make_scheduler
+        from repro.server.constant_rate import constant_rate_server
+        from repro.server.driver import DeviceDriver
+        from repro.sim.engine import Simulator
+        from repro.sim.source import WorkloadSource
+
+        sim = Simulator()
+        driver = DeviceDriver(
+            sim,
+            constant_rate_server(sim, 60.0),  # under-delivers the plan
+            make_scheduler("miser", 120.0, 25.0, 0.05),
+            metrics=MetricsRegistry(),
+        )
+        sampler = Sampler(sim, 0.25)
+        attach_standard_probes(sampler, driver)
+        sampler.install(until=workload.duration)
+        AdaptiveShaper(
+            driver, config=ControllerConfig(trip_ticks=1, shed_backlog=0)
+        ).install(sampler)
+        WorkloadSource(sim, workload, driver).start()
+        sim.run()
+        sampler.sample_now()
+        assert sampler.records[-1]["shed"] > 0
+        assert depth_reconciles(sampler.records)
+
+    def test_preemptions_reconcile(self, workload):
+        """A preempted request re-enters the scheduler: srpt's trace on
+        a sized workload reconciles too."""
+        from repro.workload.sizes import ExponentialDemand, attach_demands
+
+        sized = attach_demands(workload, ExponentialDemand(), seed=5)
+        registry, result = run_observed(sized, "srpt")
+        assert registry.value("driver.preemptions") > 0
+        assert depth_reconciles(result.telemetry.samples)

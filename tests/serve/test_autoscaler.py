@@ -120,12 +120,15 @@ class TestHysteresisMechanics:
         assert scaler.actuations == 0
 
     def test_off_mode_never_actuates(self):
-        scaler = _scaler(mode="off")
-        _observe(scaler, np.zeros(50))
-        for epoch in range(1, 8):
-            scaler.tick(float(epoch))
-        assert scaler.actuations == 0
-        assert scaler.provisioned == scaler.config.cmin_floor
+        """"Off" is ``autoscaler=None``: no loop, so the plan never
+        moves; there is no separate ``mode="off"``."""
+        with pytest.raises(ConfigurationError, match="mode"):
+            AutoscalerConfig(mode="off")
+        harness = ServiceHarness("split", 2.0, 2.0, DELTA)
+        limit = harness.classifier.limit
+        harness.replay(poisson_workload(40.0, duration=20.0, seed=9))
+        assert harness.autoscaler is None
+        assert harness.classifier.limit == limit
 
     def test_eviction_shrinks_the_window(self):
         scaler = Autoscaler(

@@ -344,7 +344,9 @@ class TestClosedLoopSink:
             seed=3,
         )
         source.start()
-        harness.sim.run()
+        result = harness.run()  # audited: every gated request counts
+        assert result.conserved()
+        assert harness.audits[-1][1] == 0
         assert source.requests, "closed-loop population never submitted"
         assert len(harness.delivered) == len(source.requests)
         assert not harness.violations

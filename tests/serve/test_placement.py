@@ -95,32 +95,3 @@ class TestPlan:
         assert "Q1 -> near" in text
         assert "Q2 ->" in text
         assert "maxQ1" in text
-
-
-class TestPlanFarm:
-    def test_slices_spread_over_the_farm(self):
-        plans = PlacementPlanner(_farm()).plan_farm(
-            60.0, 5.0, 0.05, shares=3
-        )
-        assert len(plans) == 3
-        assert all(p.delta == 0.05 for p in plans)
-        # Every slice sees its own node's latency charge.
-        for plan in plans:
-            assert plan.effective_delta == pytest.approx(
-                0.05 - plan.q1_node.latency
-            )
-        # One overflow host shared by all slices.
-        assert len({p.q2_node.name for p in plans}) == 1
-
-    def test_exhausted_farm_raises(self):
-        with pytest.raises(CapacityError, match="exhausted"):
-            PlacementPlanner(_farm()).plan_farm(400.0, 5.0, 0.05, shares=4)
-
-    def test_no_residual_overflow_capacity_raises(self):
-        nodes = [Node("only", 20.0, 0.001)]
-        with pytest.raises(CapacityError, match="residual"):
-            PlacementPlanner(nodes).plan_farm(20.0, 5.0, 0.05, shares=1)
-
-    def test_share_validation(self):
-        with pytest.raises(ConfigurationError, match="shares"):
-            PlacementPlanner(_farm()).plan_farm(20.0, 5.0, 0.05, shares=0)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core.request import Request
 from repro.core.sla import GraduatedSLA
-from repro.core.streaming import StreamingPlanner
 from repro.core.workload import Workload
 from repro.core.multiclass import decompose_tiers, plan_and_decompose
 from repro.sched.drr import DeficitRoundRobin
 from repro.sched.pclock import FlowSLA, PClockScheduler
+from repro.serve import Autoscaler, AutoscalerConfig
 
 arrivals = st.lists(
     st.integers(min_value=0, max_value=20000), min_size=1, max_size=100
@@ -123,17 +123,21 @@ def test_cascade_plan_meets_sla(arr):
 
 
 # ---------------------------------------------------------------------------
-# Streaming planner properties
+# Streaming (shadow autoscaler replay) properties
 # ---------------------------------------------------------------------------
 
 
 @given(arrivals)
 @settings(max_examples=30, deadline=None)
 def test_streaming_high_water_dominates_estimates(arr):
-    planner = StreamingPlanner(delta=0.25, window=5.0, replan_interval=1.0)
-    planner.observe_many(arr)
-    for snapshot in planner.history:
-        assert snapshot.cmin <= planner.high_water_mark
+    scaler = Autoscaler(
+        None, 0.25, AutoscalerConfig(interval=1.0, window=5.0, fraction=0.9)
+    )
+    decisions = scaler.replay(arr)
+    high_water = max((d.recommended for d in decisions), default=0.0)
+    for decision in decisions:
+        assert decision.recommended <= high_water
+        assert decision.observed >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ docs/api.md and downstream users rely on.
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -34,7 +35,6 @@ PUBLIC_API = {
         "TierAssignment", "decompose_tiers", "plan_tiers",
         "plan_and_decompose",
         "PricedTier", "price_menu", "reserve_cost", "burstiness_discount",
-        "StreamingPlanner", "EstimateSnapshot",
     ],
     "repro.sched": [
         "Scheduler", "OnlineRTTClassifier", "FCFSScheduler",
@@ -82,7 +82,7 @@ PUBLIC_API = {
     "repro.analysis": [
         "fcfs_response_times", "compliance", "cdf_points",
         "time_to_compliance", "index_of_dispersion", "hurst_rs",
-        "burstiness_summary", "ComplianceMonitor", "compare_policies",
+        "burstiness_summary", "windowed_compliance", "compare_policies",
         "study", "packing_count", "format_table", "ascii_series",
         "ascii_cdf", "ascii_bars", "write_dat", "export_figure4",
     ],
@@ -122,9 +122,11 @@ PUBLIC_API = {
 #: Names retired when the five result types and two parity reports
 #: merged into RunRecord / ParityReport, when the process-global
 #: engine/kernel/window switchboards gave way to selection by input, and
-#: when the five run loops folded into ``repro.stack.Run`` (a dotted key
-#: past the module names a class whose members must stay gone); no alias
-#: may bring them back.
+#: when the five run loops folded into ``repro.stack.Run``, and when the
+#: streaming planner and compliance monitor folded into the provisioning
+#: loop and one column function.  A dotted key past the module names a
+#: class whose members, a callable whose keyword parameters, or a tuple
+#: whose choices must stay gone; no alias may bring them back.
 REMOVED = {
     "repro": ["PolicyRunResult"],
     "repro.shaping": ["PolicyRunResult"],
@@ -150,6 +152,14 @@ REMOVED = {
     ],
     "repro.perf.kernels": ["ENV_VAR", "set_backend", "use_backend"],
     "repro.server.aqm": ["resolve_aqm"],
+    "repro.core": ["StreamingPlanner", "EstimateSnapshot", "streaming"],
+    "repro.analysis": ["ComplianceMonitor", "WindowCompliance", "monitor"],
+    "repro.serve.placement.PlacementPlanner": ["plan_farm"],
+    "repro.serve.autoscaler.MODES": ["off"],
+    "repro.serve.harness.ServiceHarness": ["controller_config"],
+    "repro.stack.Run": ["controller_config"],
+    "repro.faults.harness.run_resilient": ["controller_config"],
+    "repro.faults.harness.run_chaos": ["controller_config"],
 }
 
 
@@ -163,6 +173,10 @@ def test_removed_names_stay_gone(module_name):
     members = set(dir(owner))
     if dataclasses.is_dataclass(owner):
         members |= {f.name for f in dataclasses.fields(owner)}
+    if callable(owner):  # a removed keyword parameter
+        members |= set(inspect.signature(owner).parameters)
+    if isinstance(owner, tuple):  # a removed choice
+        members |= set(owner)
     revived = [name for name in REMOVED[module_name] if name in members]
     assert not revived, f"{module_name} still exports {revived}"
 
